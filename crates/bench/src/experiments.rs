@@ -5,6 +5,7 @@ use obfusmem_core::config::{
     ChannelStrategy, DummyAddressPolicy, MacScheme, ObfusMemConfig, SecurityLevel, TypeHiding,
 };
 use obfusmem_core::system::{System, SystemConfig};
+use obfusmem_core::tap::CollectingTap;
 use obfusmem_cpu::core::MemoryBackend;
 use obfusmem_cpu::workload::{by_name, table1_workloads, WorkloadSpec};
 use obfusmem_harness::measure::{run_point, run_point_observed, PointSpec, Scheme};
@@ -532,12 +533,13 @@ pub fn ablation_mapping(instructions: u64, seed: u64) -> Vec<MappingRow> {
                 ..ObfusMemConfig::paper_default()
             };
             let mut b = ObfusMemBackend::new(cfg, mem, seed);
-            b.enable_trace();
+            let tap = CollectingTap::default();
+            b.set_bus_tap(tap.handle());
             let mut t = obfusmem_sim::time::Time::ZERO;
             for i in 0..300u64 {
                 t = b.read(t, BlockAddr::from_index(i));
             }
-            let leak = channel_step_predictability(&b.take_trace(), 4);
+            let leak = channel_step_predictability(&tap.take(), 4);
 
             MappingRow {
                 mapping,

@@ -15,6 +15,7 @@
 //! * **ObfuscateAuth** — adds MAC generation/verification latency per the
 //!   configured scheme.
 
+use obfusmem_cache::cache::CacheOp;
 use obfusmem_cpu::core::MemoryBackend;
 use obfusmem_mem::addr::{encode, DecodedAddr};
 use obfusmem_mem::channel::Lane;
@@ -28,9 +29,12 @@ use obfusmem_sim::time::{Duration, Time};
 
 use crate::busmsg::{BusEvent, BusPacket, Direction, GroundTruth, RequestHeader};
 use crate::channels::ChannelObfuscator;
-use crate::config::{DummyAddressPolicy, MacScheme, ObfusMemConfig, SecurityLevel, TypeHiding};
-use crate::engine::{ProcessorEngine, FIXED_DUMMY_ADDR};
-use crate::link::{Delivery, DeliveryOutcome, FaultyLink, LinkStats};
+use crate::config::{
+    DummyAddressPolicy, MacScheme, ObfusMemConfig, PairingOrder, SecurityLevel, TimingMode,
+    TypeHiding,
+};
+use crate::engine::{ObfuscatedPair, ProcessorEngine, FIXED_DUMMY_ADDR};
+use crate::link::{obfuscate_for, receive_for, Delivery, DeliveryOutcome, FaultyLink, LinkStats};
 use crate::memenc::MemoryEncryption;
 use crate::memside::MemoryEngine;
 use crate::recovery::{IntegrityFault, MigrationRecord, RecoveryController};
@@ -81,7 +85,6 @@ pub struct ObfusMemBackend {
     mem_engines: Vec<MemoryEngine>,
     chan_obf: ChannelObfuscator,
     stats: BackendStats,
-    trace: Option<Vec<BusEvent>>,
     rng: SplitMix64,
     /// Write-backs waiting for a read to ride with (substitution mode).
     pending_writes: std::collections::VecDeque<BlockAddr>,
@@ -171,7 +174,6 @@ impl ObfusMemBackend {
             proc,
             mem_engines,
             stats: BackendStats::default(),
-            trace: None,
             rng,
             pending_writes: std::collections::VecDeque::new(),
             link,
@@ -187,28 +189,16 @@ impl ObfusMemBackend {
         self.obs = obs;
     }
 
-    /// Installs a streaming bus-event tap (the leakage observatory).
-    /// Events flow to the tap as they are recorded; the batch trace
-    /// buffer ([`Self::enable_trace`]) is independent and stays off
-    /// unless separately enabled.
+    /// Installs the bus-event tap: the leakage observatory, or a
+    /// [`crate::tap::CollectingTap`] for analyses that need the whole
+    /// trace. Events flow to the tap as they are recorded.
     pub fn set_bus_tap(&mut self, tap: BusTapHandle) {
         self.tap = tap;
     }
 
-    /// Whether bus events need to be constructed at all — true when
-    /// either the batch trace buffer or a streaming tap is listening.
+    /// Whether bus events need to be constructed at all.
     fn tracing(&self) -> bool {
-        self.trace.is_some() || self.tap.is_enabled()
-    }
-
-    /// Starts recording bus events (for the security analyses).
-    pub fn enable_trace(&mut self) {
-        self.trace = Some(Vec::new());
-    }
-
-    /// Takes the recorded trace, leaving recording enabled.
-    pub fn take_trace(&mut self) -> Vec<BusEvent> {
-        self.trace.replace(Vec::new()).unwrap_or_default()
+        self.tap.is_enabled()
     }
 
     /// Traffic statistics.
@@ -325,85 +315,71 @@ impl ObfusMemBackend {
         self.steer[home]
     }
 
-    /// Runs one request delivery through the fault-injecting link,
-    /// re-steering and re-issuing on quarantine. Returns the channel
-    /// that finally carried the request plus the delivery outcome.
+    /// Delivery stage: carries one request to the memory side. With the
+    /// fault-injecting link active the delivery runs the full recovery
+    /// protocol, re-steering and re-issuing on quarantine; otherwise the
+    /// engines talk directly. Returns the channel that finally carried
+    /// the request plus the delivery outcome.
     ///
-    /// Only called when the link is active. Termination: each
-    /// quarantine shrinks the healthy set, and the last healthy channel
-    /// refuses quarantine, so the loop is bounded by the channel count.
-    fn deliver_linked(
+    /// Termination: each quarantine shrinks the healthy set, and the last
+    /// healthy channel refuses quarantine, so the loop is bounded by the
+    /// channel count.
+    fn deliver(
         &mut self,
         at: Time,
         home: usize,
         delivery: Delivery<'_>,
-    ) -> (usize, DeliveryOutcome) {
+    ) -> Result<(usize, DeliveryOutcome), ObfusMemError> {
         let mut ch = self.route(home);
         loop {
-            let link = self
-                .link
-                .as_mut()
-                .expect("linked path requires an active link");
+            let Some(link) = self.link.as_mut() else {
+                let pair = obfuscate_for(&mut self.proc, at, ch, delivery)?;
+                let (decoded, companion) =
+                    receive_for(&mut self.mem_engines[ch], delivery, &pair.real, &pair.dummy)?;
+                let out = DeliveryOutcome {
+                    pair,
+                    decoded,
+                    companion,
+                    delay: Duration::ZERO,
+                };
+                return Ok((ch, out));
+            };
             match link.deliver(at, ch, &mut self.proc, &mut self.mem_engines[ch], delivery) {
-                Ok(out) => return (ch, out),
-                Err(ObfusMemError::ChannelQuarantined { .. }) => {
-                    let healthy = link
-                        .first_healthy()
-                        .expect("the last healthy channel refuses quarantine");
-                    let dead: Vec<bool> = (0..self.steer.len())
-                        .map(|c| link.is_quarantined(c))
-                        .collect();
+                Ok(out) => return Ok((ch, out)),
+                Err(e @ ObfusMemError::ChannelQuarantined { .. }) => {
+                    let Some(healthy) = link.first_healthy() else {
+                        return Err(e);
+                    };
                     for slot in self.steer.iter_mut() {
-                        if dead[*slot] {
+                        if link.is_quarantined(*slot) {
                             *slot = healthy;
                         }
                     }
                     ch = self.steer[home];
                 }
-                Err(e) => unreachable!("link delivery on a valid channel cannot fail: {e}"),
+                Err(e) => return Err(e),
             }
         }
     }
 
-    fn record(&mut self, event: BusEvent) {
-        self.tap.deliver(&event);
-        if let Some(trace) = &mut self.trace {
-            trace.push(event);
-        }
-    }
-
-    /// Latency the processor side adds to an outgoing request.
-    fn proc_side_latency(&self, pad_stall_ps: u64) -> Duration {
+    /// Latency one side adds to a packet it encrypts or decrypts: the
+    /// XOR stage plus, when authenticating, the MAC per the scheme.
+    fn side_latency(&self) -> Duration {
         let l = &self.cfg.latencies;
-        let mut d = l.xor + Duration::from_ps(pad_stall_ps);
-        if self.cfg.security.authenticates() {
-            d += match self.cfg.mac_scheme {
-                MacScheme::EncryptAndMac => l.mac_overlapped_residual,
-                MacScheme::EncryptThenMac => l.mac_serialized,
-            };
-        }
-        d
-    }
-
-    /// Latency the memory side adds before servicing (verify + decrypt).
-    fn mem_side_latency(&self) -> Duration {
-        let l = &self.cfg.latencies;
-        let mut d = l.xor;
-        if self.cfg.security.authenticates() {
-            d += match self.cfg.mac_scheme {
-                MacScheme::EncryptAndMac => l.mac_overlapped_residual,
-                MacScheme::EncryptThenMac => l.mac_serialized,
-            };
-        }
-        d
+        let mac = match (self.cfg.security.authenticates(), self.cfg.mac_scheme) {
+            (false, _) => Duration::ZERO,
+            (true, MacScheme::EncryptAndMac) => l.mac_overlapped_residual,
+            (true, MacScheme::EncryptThenMac) => l.mac_serialized,
+        };
+        l.xor + mac
     }
 
     /// Rounds an issue time up to the next timing slot when the §6.2
     /// fixed-cadence mode is active; identity otherwise.
     fn align_to_slot(&self, t: Time) -> Time {
         match self.cfg.timing {
-            crate::config::TimingMode::AsReady => t,
-            crate::config::TimingMode::FixedSlots => {
+            TimingMode::AsReady => t,
+            TimingMode::FixedSlots => {
                 let slot = crate::config::TIMING_SLOT.as_ps();
                 let rem = t.as_ps() % slot;
                 if rem == 0 {
@@ -422,15 +398,10 @@ impl ObfusMemBackend {
     /// AES pipeline can only then start filling — the pad arrives a full
     /// pipeline latency after the counter does.
     fn counter_ready(&mut self, at: Time, addr: u64) -> Time {
-        self.counter_ready_op(at, addr, obfusmem_cache::cache::CacheOp::Read)
+        self.counter_ready_op(at, addr, CacheOp::Read)
     }
 
-    fn counter_ready_op(
-        &mut self,
-        at: Time,
-        addr: u64,
-        op: obfusmem_cache::cache::CacheOp,
-    ) -> Time {
+    fn counter_ready_op(&mut self, at: Time, addr: u64, op: CacheOp) -> Time {
         let lookup = self.memenc.lookup_counter_op(addr, op);
         if let Some(victim) = lookup.victim_writeback {
             // Dirty counter block spills to memory: posted write traffic.
@@ -495,7 +466,7 @@ impl ObfusMemBackend {
     /// Cross-channel injection (§3.4): dummy pairs are always of the
     /// droppable fixed-address kind. Each pair costs its wire bytes on the
     /// target channel (read packet + write packet + random-data reply).
-    fn inject_channels(&mut self, at: Time, real_channel: usize) {
+    fn inject_channels(&mut self, at: Time, real_channel: usize) -> Result<(), ObfusMemError> {
         let idle: Vec<bool> = (0..self.mem.config().channels)
             .map(|c| self.mem.channel_idle_at(c, at))
             .collect();
@@ -515,9 +486,10 @@ impl ObfusMemBackend {
             self.mem.bus_transfer_bytes(at, ch, 24 + 88, Lane::Request);
             self.mem.bus_transfer_bytes(at, ch, 72, Lane::Response);
             if self.tracing() {
-                self.record_injected_dummy(at, ch);
+                self.record_injected_dummy(at, ch)?;
             }
         }
+        Ok(())
     }
 
     /// Runs an injected dummy pair through the engines so the recorded
@@ -525,53 +497,35 @@ impl ObfusMemBackend {
     /// fault-injecting link: campaigns target demand traffic, and the
     /// health-aware planner never injects on a quarantined channel, so
     /// the engines stay synchronized on this direct path.
-    fn record_injected_dummy(&mut self, at: Time, channel: usize) {
+    fn record_injected_dummy(&mut self, at: Time, channel: usize) -> Result<(), ObfusMemError> {
         let header = RequestHeader {
             kind: AccessKind::Read,
             addr: FIXED_DUMMY_ADDR,
         };
-        let mut pair = self
-            .proc
-            .obfuscate(at, channel, header, None)
-            .expect("channel index validated by planner");
-        let (_, _) = self.mem_engines[channel]
-            .receive_pair(&pair.real, &pair.dummy)
-            .expect("engines synchronized");
-        let truth = GroundTruth {
-            real: false,
-            kind: AccessKind::Read,
-            addr: FIXED_DUMMY_ADDR,
-        };
-        self.record(BusEvent {
-            at,
-            channel,
-            direction: Direction::ToMemory,
-            packet: std::mem::replace(
-                &mut pair.real,
-                BusPacket {
-                    header_ct: [0; 16],
-                    data_ct: None,
-                    tag: None,
+        let pair = self.proc.obfuscate(at, channel, header, None)?;
+        self.mem_engines[channel].receive_pair(&pair.real, &pair.dummy)?;
+        for (packet, kind) in [
+            (pair.real, AccessKind::Read),
+            (pair.dummy, AccessKind::Write),
+        ] {
+            self.tap.deliver(&BusEvent {
+                at,
+                channel,
+                direction: Direction::ToMemory,
+                packet,
+                truth: GroundTruth {
+                    real: false,
+                    kind,
+                    addr: FIXED_DUMMY_ADDR,
                 },
-            ),
-            truth,
-        });
-        self.record(BusEvent {
-            at,
-            channel,
-            direction: Direction::ToMemory,
-            packet: pair.dummy.clone(),
-            truth: GroundTruth {
-                real: false,
-                kind: AccessKind::Write,
-                addr: FIXED_DUMMY_ADDR,
-            },
-        });
+            });
+        }
+        Ok(())
     }
 
     /// Plaintext-bus trace events for the unprotected/encrypt-only levels.
     fn record_plain(
-        &mut self,
+        &self,
         at: Time,
         channel: usize,
         header: RequestHeader,
@@ -585,7 +539,7 @@ impl ObfusMemBackend {
             data_ct: data,
             tag: None,
         };
-        self.record(BusEvent {
+        self.tap.deliver(&BusEvent {
             at,
             channel,
             direction: Direction::ToMemory,
@@ -608,11 +562,22 @@ impl ObfusMemBackend {
     /// recovered bytes plus the simulated recovery time that extends the
     /// fill's critical path (zero on clean reads).
     fn load_block(&mut self, addr: BlockAddr) -> (BlockData, Duration) {
-        if self.recovery.is_none() {
+        // The controller is moved out for the ladder's duration so every
+        // rung can use it alongside the device and the crypto plane.
+        let Some(mut rc) = self.recovery.take() else {
             return (self.mem.read_block(addr), Duration::ZERO);
-        }
+        };
+        let out = self.load_checked(&mut rc, addr);
+        self.recovery = Some(rc);
+        out
+    }
+
+    fn load_checked(
+        &mut self,
+        rc: &mut RecoveryController,
+        addr: BlockAddr,
+    ) -> (BlockData, Duration) {
         let logical = addr.as_u64();
-        let rc = self.recovery.as_mut().expect("checked above");
         if rc.is_degraded(logical) {
             // Already declared unrecoverable: serve the corrected
             // readout directly. Re-entering the ladder would re-detect
@@ -624,7 +589,6 @@ impl ObfusMemBackend {
                 Duration::ZERO,
             );
         }
-        let rc = self.recovery.as_mut().expect("checked above");
         let phys = match rc.remap_mut().translate(logical) {
             Ok(p) => p,
             Err(_) => {
@@ -632,9 +596,7 @@ impl ObfusMemBackend {
                 // a quarantined bank, so the demand path can never
                 // verify again. Degrade this block permanently and
                 // serve the corrected readout.
-                if rc.mark_degraded(logical) {
-                    rc.stats.unrecovered += 1;
-                }
+                rc.mark_degraded(logical);
                 return (
                     self.mem.read_block(BlockAddr::containing(logical)),
                     Duration::ZERO,
@@ -648,21 +610,21 @@ impl ObfusMemBackend {
         // Merkle roots, modeled as per-block digests) says what the
         // array *should* hold.
         let corrected = self.mem.read_block(phys_addr);
-        let rc = self.recovery.as_mut().expect("checked above");
         if rc.verify(logical, &data, &corrected) {
             return (data, Duration::ZERO);
         }
-        let flat_bank = {
-            let d = self.mem.decode(phys);
-            d.flat_bank(self.mem.config()) as u64
-        };
         let fault = IntegrityFault {
             addr: logical,
             phys,
-            flat_bank,
+            flat_bank: self.flat_bank(phys),
             observed,
         };
-        self.recover(fault, corrected)
+        self.recover(rc, fault, corrected)
+    }
+
+    /// The flattened bank index a physical address decodes to.
+    fn flat_bank(&self, phys: u64) -> u64 {
+        self.mem.decode(phys).flat_bank(self.mem.config()) as u64
     }
 
     /// Runs the recovery ladder for a detected [`IntegrityFault`]:
@@ -673,46 +635,34 @@ impl ObfusMemBackend {
     /// slot turns out to be dead too). Unrecoverable faults degrade to the
     /// corrected readout (the run continues, mirroring the link layer's
     /// `force_clean`) and bump `unrecovered`.
-    fn recover(&mut self, fault: IntegrityFault, corrected: BlockData) -> (BlockData, Duration) {
+    fn recover(
+        &mut self,
+        rc: &mut RecoveryController,
+        fault: IntegrityFault,
+        corrected: BlockData,
+    ) -> (BlockData, Duration) {
         let phys_addr = BlockAddr::containing(fault.phys);
-        let cfg = *self.recovery.as_ref().expect("recovery active").cfg();
-        self.recovery
-            .as_mut()
-            .expect("recovery active")
-            .stats
-            .detected += 1;
+        let cfg = *rc.cfg();
+        rc.stats.detected += 1;
         let mut delay = Duration::ZERO;
         // Phase 1: re-read with backoff. Transient flips redraw per read
         // and clear; persistent corruption reads back identically.
         for attempt in 0..cfg.max_retries {
             delay += cfg.retry_delay(attempt);
-            self.recovery
-                .as_mut()
-                .expect("recovery active")
-                .stats
-                .retried += 1;
+            rc.stats.retried += 1;
             let (again, _) = self.mem.read_block_faulty(phys_addr);
-            let rc = self.recovery.as_mut().expect("recovery active");
             if rc.verify(fault.addr, &again, &corrected) {
                 return (again, delay);
             }
         }
-        // Phase 2: counter/Merkle resync (PR 3's escalation applied to
-        // the at-rest tree): rebuild the block's trust state from the
-        // corrected readout, then probe the demand path once more.
+        // Phase 2: counter/Merkle resync (the link layer's escalation
+        // applied to the at-rest tree): rebuild the block's trust state
+        // from the corrected readout, then probe the demand path once
+        // more.
         delay += cfg.resync_latency;
-        self.recovery
-            .as_mut()
-            .expect("recovery active")
-            .stats
-            .resynced += 1;
+        rc.stats.resynced += 1;
         let (probe, _) = self.mem.read_block_faulty(phys_addr);
-        if self
-            .recovery
-            .as_mut()
-            .expect("recovery active")
-            .verify(fault.addr, &probe, &corrected)
-        {
+        if rc.verify(fault.addr, &probe, &corrected) {
             return (probe, delay);
         }
         // Phase 2b: classify the damage radius before reaching for the
@@ -723,29 +673,15 @@ impl ObfusMemBackend {
         // Without this rung, high stuck-cell rates fuse out bank after
         // bank until none remain.
         if !self.neighborhood_corrupt(fault.phys) {
-            let encrypts = self.cfg.security.encrypts_memory();
             let mut from = fault.phys;
             for _ in 0..MAX_RETIREMENTS {
-                let rc = self.recovery.as_mut().expect("recovery active");
-                let to = match rc.remap_mut().retarget(fault.addr) {
-                    Ok(t) => t,
-                    Err(_) => {
-                        if rc.mark_degraded(fault.addr) {
-                            rc.stats.unrecovered += 1;
-                        }
-                        return (corrected, delay);
-                    }
+                let Ok(to) = rc.remap_mut().retarget(fault.addr) else {
+                    rc.mark_degraded(fault.addr);
+                    return (corrected, delay);
                 };
                 // Same journaled re-encrypt discipline as a cohort
                 // migration: the spare never reuses the dead slot's pad.
-                let moved = if encrypts {
-                    let plaintext = self.memenc.decrypt_block(fault.addr, &corrected);
-                    let (ct, _) = self.memenc.encrypt_block(fault.addr, &plaintext);
-                    ct
-                } else {
-                    corrected
-                };
-                let rc = self.recovery.as_mut().expect("recovery active");
+                let moved = self.reencrypt(fault.addr, corrected);
                 rc.note_write(fault.addr, &moved);
                 rc.record_migration(MigrationRecord {
                     logical: fault.addr,
@@ -758,7 +694,6 @@ impl ObfusMemBackend {
                 self.mem.remove_block(BlockAddr::containing(from));
                 delay += cfg.migrate_per_block;
                 let (data, _) = self.mem.read_block_faulty(BlockAddr::containing(to));
-                let rc = self.recovery.as_mut().expect("recovery active");
                 if rc.verify(fault.addr, &data, &moved) {
                     return (data, delay);
                 }
@@ -778,49 +713,42 @@ impl ObfusMemBackend {
         // remap refuses to quarantine the last healthy one.
         let mut bad_bank = fault.flat_bank;
         loop {
-            match self.quarantine_and_migrate(bad_bank) {
-                None => {
-                    // Last healthy bank (or spare region exhausted):
-                    // degrade this block to direct corrected readouts
-                    // and keep serving. The fault is persistent (it
-                    // survived retries and a resync), so re-running the
-                    // ladder on later accesses could only repeat this
-                    // refusal.
-                    let rc = self.recovery.as_mut().expect("recovery active");
-                    if rc.mark_degraded(fault.addr) {
-                        rc.stats.unrecovered += 1;
-                    }
-                    return (corrected, delay);
-                }
-                Some(migrated) => {
-                    delay = delay
-                        + cfg.quarantine_latency
-                        + Duration::from_ps(cfg.migrate_per_block.as_ps() * migrated as u64);
-                }
-            }
+            let Some(migrated) = self.quarantine_and_migrate(rc, bad_bank) else {
+                // Last healthy bank (or spare region exhausted): degrade
+                // this block to direct corrected readouts and keep
+                // serving. The fault is persistent (it survived retries
+                // and a resync), so re-running the ladder on later
+                // accesses could only repeat this refusal.
+                rc.mark_degraded(fault.addr);
+                return (corrected, delay);
+            };
+            delay = delay
+                + cfg.quarantine_latency
+                + Duration::from_ps(cfg.migrate_per_block.as_ps() * migrated as u64);
             // Re-read through the new mapping.
-            let rc = self.recovery.as_mut().expect("recovery active");
-            let newphys = match rc.remap_mut().translate(fault.addr) {
-                Ok(p) => p,
-                Err(_) => {
-                    if rc.mark_degraded(fault.addr) {
-                        rc.stats.unrecovered += 1;
-                    }
-                    return (corrected, delay);
-                }
+            let Ok(newphys) = rc.remap_mut().translate(fault.addr) else {
+                rc.mark_degraded(fault.addr);
+                return (corrected, delay);
             };
             let new_addr = BlockAddr::containing(newphys);
             let (data, _) = self.mem.read_block_faulty(new_addr);
             let moved = self.mem.read_block(new_addr);
-            let rc = self.recovery.as_mut().expect("recovery active");
             if rc.verify(fault.addr, &data, &moved) {
                 return (data, delay);
             }
-            bad_bank = {
-                let d = self.mem.decode(newphys);
-                d.flat_bank(self.mem.config()) as u64
-            };
+            bad_bank = self.flat_bank(newphys);
         }
+    }
+
+    /// Re-encrypts a block's corrected readout under its logical address
+    /// with a fresh counter bump (identity when memory is unencrypted),
+    /// so a migrated block never reuses the dead slot's pad stream.
+    fn reencrypt(&mut self, logical: u64, corrected: BlockData) -> BlockData {
+        if !self.cfg.security.encrypts_memory() {
+            return corrected;
+        }
+        let plaintext = self.memenc.decrypt_block(logical, &corrected);
+        self.memenc.encrypt_block(logical, &plaintext).0
     }
 
     /// Probes the two nearest neighbours of `phys` — the next column of
@@ -855,64 +783,40 @@ impl ObfusMemBackend {
     /// write to a spare slot in a healthy bank. Returns the number of
     /// blocks migrated, `Some(0)` when the bank was already fused out,
     /// or `None` when quarantine was refused (last healthy bank).
-    fn quarantine_and_migrate(&mut self, flat_bank: u64) -> Option<usize> {
-        {
-            let rc = self.recovery.as_mut().expect("recovery active");
-            match rc.remap_mut().quarantine(flat_bank) {
-                Ok(true) => rc.stats.quarantined += 1,
-                Ok(false) => return Some(0),
-                Err(_) => return None,
-            }
+    fn quarantine_and_migrate(
+        &mut self,
+        rc: &mut RecoveryController,
+        flat_bank: u64,
+    ) -> Option<usize> {
+        match rc.remap_mut().quarantine(flat_bank) {
+            Ok(true) => rc.stats.quarantined += 1,
+            Ok(false) => return Some(0),
+            Err(_) => return None,
         }
         let victims: Vec<BlockAddr> = self
             .mem
             .stored_addrs()
             .into_iter()
-            .filter(|a| {
-                let d = self.mem.decode(a.as_u64());
-                d.flat_bank(self.mem.config()) as u64 == flat_bank
-            })
+            .filter(|a| self.flat_bank(a.as_u64()) == flat_bank)
             .collect();
-        let encrypts = self.cfg.security.encrypts_memory();
         let mut migrated = 0usize;
         for phys in victims {
-            let (logical, live) = {
-                let r = self.recovery.as_ref().expect("recovery active").remap();
-                (
-                    r.logical_of(phys.as_u64()),
-                    r.is_current_home(phys.as_u64()),
-                )
-            };
+            let logical = rc.remap().logical_of(phys.as_u64());
             // Only migrate a block's *current* home. A stale identity
             // copy (left by a retirement before stale-slot evacuation
             // existed) would otherwise be mistaken for live data:
             // retarget() would drop the live logical→spare mapping and
             // the dead bytes would silently replace the block.
-            if !live {
+            if !rc.remap().is_current_home(phys.as_u64()) {
                 self.mem.remove_block(phys);
                 continue;
             }
             // The dead bank's demand path reads garbage; the corrected
             // (ECC-margin) readout recovers the true stored bytes.
-            let corrected = self.mem.read_block(phys);
-            let moved = if encrypts {
-                // Fresh counter bump: the spare slot never reuses the
-                // dead slot's pad stream.
-                let plaintext = self.memenc.decrypt_block(logical, &corrected);
-                let (ct, _) = self.memenc.encrypt_block(logical, &plaintext);
-                ct
-            } else {
-                corrected
-            };
-            let rc = self.recovery.as_mut().expect("recovery active");
-            let to = match rc.remap_mut().retarget(logical) {
-                Ok(t) => t,
-                Err(_) => {
-                    if rc.mark_degraded(logical) {
-                        rc.stats.unrecovered += 1;
-                    }
-                    continue;
-                }
+            let moved = self.reencrypt(logical, self.mem.read_block(phys));
+            let Ok(to) = rc.remap_mut().retarget(logical) else {
+                rc.mark_degraded(logical);
+                continue;
             };
             rc.note_write(logical, &moved);
             rc.record_migration(MigrationRecord {
@@ -962,177 +866,274 @@ impl ObfusMemBackend {
         }
     }
 
-    fn obfuscated_read(&mut self, at: Time, addr: BlockAddr) -> Time {
-        let home = self.mem.decode(addr.as_u64()).channel;
+    /// Write preparation: memory-encrypts the (synthetic) dirty data for
+    /// `addr`, bumping its counter, and dirties the counter block with a
+    /// write-op lookup. Returns the at-rest ciphertext.
+    fn prepare_write(&mut self, at: Time, addr: BlockAddr) -> BlockData {
+        let plaintext = synth_block(&mut self.rng);
+        let (at_rest, _) = self.memenc.encrypt_block(addr.as_u64(), &plaintext);
+        let _ = self.counter_ready_op(at, addr.as_u64(), CacheOp::Write);
+        at_rest
+    }
+
+    /// Serves an obfuscated request. The pipeline only fails on a broken
+    /// invariant (an invalid channel or desynchronized engines), so an
+    /// error here is a bug, not a simulated outcome.
+    fn obfuscated(&mut self, at: Time, kind: AccessKind, addr: BlockAddr) -> Time {
+        self.dispatch(at, kind, addr)
+            .expect("obfuscated request on a valid, synchronized channel")
+    }
+
+    /// Picks the request's §3.3 shape. Under substitution a write-back is
+    /// parked to ride in the dummy slot of a later read on its channel,
+    /// and overflow services the oldest parked write normally.
+    fn dispatch(
+        &mut self,
+        at: Time,
+        kind: AccessKind,
+        addr: BlockAddr,
+    ) -> Result<Time, ObfusMemError> {
+        if self.cfg.type_hiding != TypeHiding::SplitDummyWithSubstitution {
+            return self.own_request(at, kind, addr);
+        }
+        if kind == AccessKind::Write {
+            let overflow = if self.pending_writes.len() >= MAX_PENDING_WRITES {
+                self.pending_writes.pop_front()
+            } else {
+                None
+            };
+            if let Some(oldest) = overflow {
+                self.own_request(at, AccessKind::Write, oldest)?;
+            }
+            self.pending_writes.push_back(addr);
+            return Ok(at);
+        }
+        let channel = self.mem.decode(addr.as_u64()).channel;
+        let parked = self
+            .pending_writes
+            .iter()
+            .position(|wb| self.mem.decode(wb.as_u64()).channel == channel)
+            .and_then(|pos| self.pending_writes.remove(pos));
+        let Some(wb) = parked else {
+            return self.own_request(at, kind, addr);
+        };
+        let data = self.prepare_write(at, wb);
+        self.stats.substituted_pairs += 1;
+        self.stats.real_writes += 1; // the parked write is serviced here
+        let delivery = Delivery::Substituted {
+            read: RequestHeader {
+                kind: AccessKind::Read,
+                addr: addr.as_u64(),
+            },
+            write: RequestHeader {
+                kind: AccessKind::Write,
+                addr: wb.as_u64(),
+            },
+            data: &data,
+        };
+        self.pipeline(at, delivery)
+    }
+
+    /// Runs `addr`'s own request as a paired (or, under type hiding by
+    /// uniform packets, single) delivery.
+    fn own_request(
+        &mut self,
+        at: Time,
+        kind: AccessKind,
+        addr: BlockAddr,
+    ) -> Result<Time, ObfusMemError> {
         let header = RequestHeader {
-            kind: AccessKind::Read,
+            kind,
             addr: addr.as_u64(),
         };
-
-        // Functional path: memory side decodes, reads the stored
-        // ciphertext, and replies. With the fault-injecting link active
-        // the delivery runs the full recovery protocol (and may land on
-        // a re-steered channel); otherwise the engines talk directly.
-        let (channel, pair, decoded, req_delay) = match self.link {
-            Some(_) => {
-                let (ch, out) =
-                    self.deliver_linked(at, home, Delivery::Pair { header, data: None });
-                (ch, out.pair, out.decoded, out.delay)
-            }
-            None => {
-                let pair = self
-                    .proc
-                    .obfuscate(at, home, header, None)
-                    .expect("valid channel");
-                let (decoded, _surfaced_dummy) = self.mem_engines[home]
-                    .receive_pair(&pair.real, &pair.dummy)
-                    .expect("engines synchronized");
-                (home, pair, decoded, Duration::ZERO)
-            }
+        let data = (kind == AccessKind::Write).then(|| self.prepare_write(at, addr));
+        let data = data.as_ref();
+        let delivery = match self.cfg.type_hiding {
+            TypeHiding::UniformPackets => Delivery::Uniform { header, data },
+            _ => Delivery::Pair { header, data },
         };
-        self.stats.pad_stall_ps += pair.pad_stall_ps;
-        let proc_lat = self.proc_side_latency(pair.pad_stall_ps);
-        let mem_lat = self.mem_side_latency();
+        self.pipeline(at, delivery)
+    }
 
+    /// The request pipeline (DESIGN.md §10): one obfuscated request in
+    /// any §3.3 shape, through delivery, functional service, bus events,
+    /// wire timing and array service, spans, and the fill time. Returns
+    /// a read's fill time; a write, which nothing waits on, returns when
+    /// its array service completes.
+    fn pipeline(&mut self, at: Time, delivery: Delivery<'_>) -> Result<Time, ObfusMemError> {
+        let (header, substituted) = match delivery {
+            Delivery::Pair { header, .. } | Delivery::Uniform { header, .. } => (header, None),
+            Delivery::Substituted { read, write, .. } => (read, Some(write)),
+        };
+        let addr = header.addr;
+        let is_read = header.kind == AccessKind::Read;
+        let (packets, write_reply_bytes) = wire_shape(delivery);
+
+        let home = self.mem.decode(addr).channel;
+        let (channel, out) = self.deliver(at, home, delivery)?;
+        let DeliveryOutcome {
+            pair,
+            decoded,
+            companion,
+            delay: req_delay,
+        } = out;
         debug_assert_eq!(decoded.header, header);
-        let (at_rest, dev_delay) = self.load_block(addr);
-        let reply = self.mem_engines[channel].encrypt_reply(decoded.base_counter, &at_rest);
-        let reply_wire = reply.wire_bytes() as u64;
-        let (bus_data, reply_delay) = match self.link.as_mut() {
-            Some(link) => link
-                .deliver_reply(
-                    at,
-                    channel,
-                    &self.proc,
-                    &self.mem_engines[channel],
-                    decoded.base_counter,
-                    &at_rest,
-                )
-                .expect("valid channel"),
-            None => {
-                let data = self
-                    .proc
-                    .decrypt_reply(
-                        channel,
-                        pair.base_counter,
-                        &reply.data_ct.expect("reply has data"),
-                    )
-                    .expect("valid channel");
-                (data, Duration::ZERO)
-            }
-        };
-        debug_assert_eq!(bus_data, at_rest, "bus round trip must be lossless");
-        let _plaintext = self.memenc.decrypt_block(addr.as_u64(), &bus_data);
+        self.stats.pad_stall_ps += pair.pad_stall_ps;
+        // The processor side also waits out any pad-buffer stall; the
+        // memory side verifies and decrypts before servicing.
+        let mem_lat = self.side_latency();
+        let proc_lat = mem_lat + Duration::from_ps(pair.pad_stall_ps);
 
-        // Timing path: the request and its paired dummy cross the bus as
-        // packets (their wire bytes occupy the channel), the memory side
-        // verifies/decrypts, the array answers, and the reply's header/tag
-        // overhead rides back alongside the data burst.
-        let send_at = self.align_to_slot(at + proc_lat);
+        // Functional service: the memory side stores what it decoded (a
+        // write, or the write riding in a read's dummy slot), then a read
+        // loads its block and replies.
+        if let Some(data) = decoded.data {
+            self.store_block(BlockAddr::containing(addr), data);
+        }
+        if let Some(write) = substituted {
+            let data = companion.and_then(|c| c.data).ok_or_else(|| {
+                ObfusMemError::MalformedPacket("substituted write did not surface".into())
+            })?;
+            self.store_block(BlockAddr::containing(write.addr), data);
+        }
+        let reply = if is_read {
+            Some(self.reply(at, channel, addr, &pair, decoded.base_counter)?)
+        } else {
+            None
+        };
+
+        // Link recovery delays a write's arrival on the wire; a read's
+        // recovery extends its fill instead.
+        let aligned = self.align_to_slot(at + proc_lat);
+        let send_at = if is_read {
+            aligned
+        } else {
+            aligned + req_delay
+        };
 
         if self.tracing() {
             // Events are stamped with the wire time (what probes observe).
             let truth = GroundTruth {
                 real: true,
-                kind: AccessKind::Read,
-                addr: addr.as_u64(),
+                kind: header.kind,
+                addr,
             };
-            self.record(BusEvent {
-                at: send_at,
-                channel,
-                direction: Direction::ToMemory,
-                packet: pair.real.clone(),
-                truth,
-            });
-            self.record(BusEvent {
-                at: send_at,
-                channel,
-                direction: Direction::ToMemory,
-                packet: pair.dummy.clone(),
-                truth: GroundTruth {
+            let companion_truth = match substituted {
+                Some(write) => GroundTruth {
+                    real: true,
+                    kind: AccessKind::Write,
+                    addr: write.addr,
+                },
+                None => GroundTruth {
                     real: false,
                     kind: pair.dummy_header.kind,
                     addr: pair.dummy_header.addr,
                 },
+            };
+            let requests = packets.iter().map(|slot| match slot {
+                Slot::Real => (Direction::ToMemory, &pair.real, truth),
+                Slot::Companion => (Direction::ToMemory, &pair.dummy, companion_truth),
             });
-            self.record(BusEvent {
-                at: send_at,
-                channel,
-                direction: Direction::ToProcessor,
-                packet: reply,
-                truth,
-            });
+            let replies = reply
+                .iter()
+                .map(|r| (Direction::ToProcessor, &r.packet, truth));
+            for (direction, packet, truth) in requests.chain(replies) {
+                self.tap.deliver(&BusEvent {
+                    at: send_at,
+                    channel,
+                    direction,
+                    packet: packet.clone(),
+                    truth,
+                });
+            }
         }
-        // Wire order (§3.3). Read-then-write (the paper's choice): the
-        // real read packet goes first and gates the array access; the
-        // paired dummy write's 88 bytes follow on the request lane, off
-        // the critical path. Write-then-read (the rejected alternative):
-        // the dummy write transmits first, so every fill waits behind its
-        // 88-byte companion — the latency cost the paper avoids.
-        let real_arrived = match self.cfg.pairing {
-            crate::config::PairingOrder::ReadThenWrite => {
-                let arrived = self.mem.bus_transfer_bytes(
-                    send_at,
-                    channel,
-                    pair.real.wire_bytes() as u64,
-                    Lane::Request,
-                );
-                self.mem.bus_transfer_bytes(
-                    arrived,
-                    channel,
-                    pair.dummy.wire_bytes() as u64,
-                    Lane::Request,
-                );
-                arrived
+
+        // Wire timing: the request packets cross the request lane back to
+        // back, and the array access waits for the real one. Under
+        // write-then-read pairing (the rejected alternative) a read's
+        // companion write transmits first, so the fill waits behind it.
+        let mut wire = [Slot::Real; 2];
+        let wire = &mut wire[..packets.len()];
+        wire.copy_from_slice(packets);
+        if is_read && self.cfg.pairing == PairingOrder::WriteThenRead {
+            wire.reverse();
+        }
+        let (mut gate, mut companion_at, mut t) = (send_at, send_at, send_at);
+        for &slot in wire.iter() {
+            let bytes = slot.of(&pair).wire_bytes() as u64;
+            t = self
+                .mem
+                .bus_transfer_bytes(t, channel, bytes, Lane::Request);
+            match slot {
+                Slot::Real => gate = t,
+                Slot::Companion => companion_at = t + mem_lat,
             }
-            crate::config::PairingOrder::WriteThenRead => {
-                let dummy_done = self.mem.bus_transfer_bytes(
-                    send_at,
-                    channel,
-                    pair.dummy.wire_bytes() as u64,
-                    Lane::Request,
-                );
-                self.mem.bus_transfer_bytes(
-                    dummy_done,
-                    channel,
-                    pair.real.wire_bytes() as u64,
-                    Lane::Request,
-                )
-            }
-        };
-        let request_at = real_arrived + mem_lat;
-        let array = self.mem.access(request_at, addr.as_u64(), AccessKind::Read);
-        self.service_paired_dummy(request_at, &pair.dummy_header);
-        self.inject_channels(request_at, channel);
-        let reply_overhead = reply_wire.saturating_sub(64);
-        let reply_done = if reply_overhead > 0 {
-            self.mem
-                .bus_transfer_bytes(array.complete_at, channel, reply_overhead, Lane::Response)
+        }
+
+        // Array service: the real request, then its companion, then the
+        // cross-channel dummies (§3.4).
+        let request_at = gate + mem_lat;
+        let array = if is_read {
+            Some(self.mem.access(request_at, addr, AccessKind::Read))
         } else {
-            array.complete_at
+            self.post_array_write(request_at, addr)
         };
-        let counter_done = self.counter_ready(at, addr.as_u64());
-        let reply_lat = self.cfg.latencies.xor + self.mem_side_latency();
+        let companion_array = match delivery {
+            Delivery::Pair { .. } => {
+                self.service_paired_dummy(request_at, &pair.dummy_header);
+                None
+            }
+            Delivery::Substituted { write, .. } => self.post_array_write(companion_at, write.addr),
+            Delivery::Uniform { .. } => None,
+        };
+        self.inject_channels(request_at, channel)?;
         if self.obs.is_enabled() {
             self.obs.span(Track::Engine, "encrypt", at, at + proc_lat);
             if pair.pad_stall_ps > 0 {
                 let stall = Duration::from_ps(pair.pad_stall_ps);
                 self.obs.span(Track::Crypto, "pad-stall", at, at + stall);
             }
-            self.obs.span(
-                Track::Channel(channel),
-                "request-wire",
-                send_at,
-                real_arrived,
-            );
-            let bank = self.bank_track(addr.as_u64());
+            if send_at > aligned {
+                self.obs
+                    .span(Track::Link(channel), "recovery", aligned, send_at);
+            }
             self.obs
-                .span(bank, "array-read", request_at, array.complete_at);
-            if reply_done > array.complete_at {
+                .span(Track::Channel(channel), "request-wire", send_at, gate);
+            if let Some(array) = array {
+                let name = if is_read { "array-read" } else { "array-write" };
+                self.obs
+                    .span(self.bank_track(addr), name, request_at, array.complete_at);
+            }
+            if let (Some(array), Some(write)) = (companion_array, substituted) {
+                let bank = self.bank_track(write.addr);
+                self.obs
+                    .span(bank, "array-write", companion_at, array.complete_at);
+            }
+        }
+        let array_done = array.map_or(request_at, |a| a.complete_at);
+        let Some(reply) = reply else {
+            self.mem
+                .bus_transfer_bytes(request_at, channel, write_reply_bytes, Lane::Response);
+            return Ok(array_done);
+        };
+
+        // The reply's header/tag overhead rides back after the data burst.
+        let reply_overhead = (reply.packet.wire_bytes() as u64).saturating_sub(64);
+        let reply_done = if reply_overhead > 0 {
+            self.mem
+                .bus_transfer_bytes(array_done, channel, reply_overhead, Lane::Response)
+        } else {
+            array_done
+        };
+        let counter_done = self.counter_ready(at, addr);
+        let fill_done = reply_done.max(counter_done) + self.cfg.latencies.xor + mem_lat;
+        let link_delay = req_delay + reply.link_delay;
+        if self.obs.is_enabled() {
+            if reply_done > array_done {
                 self.obs.span(
                     Track::Channel(channel),
                     "reply-wire",
-                    array.complete_at,
+                    array_done,
                     reply_done,
                 );
             }
@@ -1140,568 +1141,110 @@ impl ObfusMemBackend {
                 self.obs
                     .span(Track::Crypto, "counter-fetch", at, counter_done);
             }
-            let recovery = req_delay + reply_delay;
-            if recovery.as_ps() > 0 {
-                let fill_done = reply_done.max(counter_done) + reply_lat;
+            if link_delay > Duration::ZERO {
                 self.obs.span(
                     Track::Link(channel),
                     "recovery",
                     fill_done,
-                    fill_done + recovery,
+                    fill_done + link_delay,
                 );
             }
-            if dev_delay.as_ps() > 0 {
-                let bank = self.bank_track(addr.as_u64());
+            if reply.dev_delay > Duration::ZERO {
+                let bank = self.bank_track(addr);
                 self.obs
-                    .span(bank, "recovery", request_at, request_at + dev_delay);
+                    .span(bank, "recovery", request_at, request_at + reply.dev_delay);
             }
         }
         // Link and device recovery time (retransmits, resyncs, re-keys,
         // re-reads, migrations) extends the fill's critical path; zero
         // on clean deliveries.
-        reply_done.max(counter_done) + reply_lat + req_delay + reply_delay + dev_delay
+        Ok(fill_done + link_delay + reply.dev_delay)
     }
 
-    fn obfuscated_write(&mut self, at: Time, addr: BlockAddr) {
-        let home = self.mem.decode(addr.as_u64()).channel;
-        // Memory-encrypt the (synthetic) dirty data, bumping its counter.
-        let plaintext = synth_block(&mut self.rng);
-        let (at_rest, _) = self.memenc.encrypt_block(addr.as_u64(), &plaintext);
-        // The bump dirties the counter block (write-op lookup).
-        let _ = self.counter_ready_op(at, addr.as_u64(), obfusmem_cache::cache::CacheOp::Write);
-
-        let header = RequestHeader {
-            kind: AccessKind::Write,
-            addr: addr.as_u64(),
-        };
-        let (channel, pair, decoded, req_delay) = match self.link {
-            Some(_) => {
-                let (ch, out) = self.deliver_linked(
-                    at,
-                    home,
-                    Delivery::Pair {
-                        header,
-                        data: Some(&at_rest),
-                    },
-                );
-                (ch, out.pair, out.decoded, out.delay)
-            }
+    /// Read service: loads the block through the recovery ladder, then
+    /// runs the reply round trip (over the link when it is active).
+    fn reply(
+        &mut self,
+        at: Time,
+        channel: usize,
+        addr: u64,
+        pair: &ObfuscatedPair,
+        base_counter: u64,
+    ) -> Result<Reply, ObfusMemError> {
+        let (at_rest, dev_delay) = self.load_block(BlockAddr::containing(addr));
+        let packet = self.mem_engines[channel].encrypt_reply(base_counter, &at_rest);
+        let (bus_data, link_delay) = match self.link.as_mut() {
+            Some(link) => link.deliver_reply(
+                at,
+                channel,
+                &self.proc,
+                &self.mem_engines[channel],
+                base_counter,
+                &at_rest,
+            )?,
             None => {
-                let pair = self
-                    .proc
-                    .obfuscate(at, home, header, Some(&at_rest))
-                    .expect("valid channel");
-                let (decoded, _) = self.mem_engines[home]
-                    .receive_pair(&pair.real, &pair.dummy)
-                    .expect("engines synchronized");
-                (home, pair, decoded, Duration::ZERO)
+                let ct = packet.data_ct.as_ref().ok_or_else(|| {
+                    ObfusMemError::MalformedPacket("reply is missing its data".into())
+                })?;
+                let data = self.proc.decrypt_reply(channel, pair.base_counter, ct)?;
+                (data, Duration::ZERO)
             }
         };
-        self.stats.pad_stall_ps += pair.pad_stall_ps;
-        let proc_lat = self.proc_side_latency(pair.pad_stall_ps);
-        let mem_lat = self.mem_side_latency();
+        debug_assert_eq!(bus_data, at_rest, "bus round trip must be lossless");
+        Ok(Reply {
+            packet,
+            link_delay,
+            dev_delay,
+        })
+    }
+}
 
-        debug_assert_eq!(decoded.data, Some(at_rest));
-        self.store_block(addr, at_rest);
+/// Parked write-backs (substitution mode) before the oldest is serviced
+/// in a pair of its own.
+const MAX_PENDING_WRITES: usize = 8;
 
-        // Recovery time delays the write's arrival on the wire.
-        let send_at = self.align_to_slot(at + proc_lat) + req_delay;
+/// One request packet of an [`ObfuscatedPair`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Slot {
+    /// The real request.
+    Real,
+    /// The paired dummy, or the substituted write-back in its slot.
+    Companion,
+}
 
-        if self.tracing() {
-            // Wire order is read-then-write (§3.3): the dummy *read*
-            // precedes the real write, so packet order carries no
-            // information about which half is real. Events are stamped
-            // with the wire time.
-            let truth = GroundTruth {
-                real: true,
-                kind: AccessKind::Write,
-                addr: addr.as_u64(),
-            };
-            self.record(BusEvent {
-                at: send_at,
-                channel,
-                direction: Direction::ToMemory,
-                packet: pair.dummy.clone(),
-                truth: GroundTruth {
-                    real: false,
-                    kind: pair.dummy_header.kind,
-                    addr: pair.dummy_header.addr,
-                },
-            });
-            self.record(BusEvent {
-                at: send_at,
-                channel,
-                direction: Direction::ToMemory,
-                packet: pair.real.clone(),
-                truth,
-            });
-        }
-        // Write wire order (§3.3): the dummy read precedes the real write;
-        // both cross the request lane before the write is serviced.
-        let wire = (pair.real.wire_bytes() + pair.dummy.wire_bytes()) as u64;
-        let arrived = self
-            .mem
-            .bus_transfer_bytes(send_at, channel, wire, Lane::Request);
-        let request_at = arrived + mem_lat;
-        let array = self.post_array_write(request_at, addr.as_u64());
-        self.service_paired_dummy(request_at, &pair.dummy_header);
-        self.inject_channels(request_at, channel);
-        // The paired dummy read's random-data reply rides the response lane.
-        self.mem
-            .bus_transfer_bytes(request_at, channel, 72, Lane::Response);
-        if self.obs.is_enabled() {
-            self.obs.span(Track::Engine, "encrypt", at, at + proc_lat);
-            if pair.pad_stall_ps > 0 {
-                let stall = Duration::from_ps(pair.pad_stall_ps);
-                self.obs.span(Track::Crypto, "pad-stall", at, at + stall);
-            }
-            if req_delay.as_ps() > 0 {
-                let aligned = self.align_to_slot(at + proc_lat);
-                self.obs
-                    .span(Track::Link(channel), "recovery", aligned, send_at);
-            }
-            self.obs
-                .span(Track::Channel(channel), "request-wire", send_at, arrived);
-            if let Some(array) = array {
-                let bank = self.bank_track(addr.as_u64());
-                self.obs
-                    .span(bank, "array-write", request_at, array.complete_at);
-            }
+impl Slot {
+    fn of(self, pair: &ObfuscatedPair) -> &BusPacket {
+        match self {
+            Slot::Real => &pair.real,
+            Slot::Companion => &pair.dummy,
         }
     }
 }
 
-impl ObfusMemBackend {
-    /// A read whose pair's write slot carries a substituted real
-    /// write-back (§3.3): no dummy bandwidth, and the write drains early.
-    fn substituted_read(&mut self, at: Time, addr: BlockAddr, wb: BlockAddr) -> Time {
-        let home = self.mem.decode(addr.as_u64()).channel;
-        let read_header = RequestHeader {
-            kind: AccessKind::Read,
-            addr: addr.as_u64(),
-        };
-        let write_header = RequestHeader {
-            kind: AccessKind::Write,
-            addr: wb.as_u64(),
-        };
-
-        // Memory-encrypt the write-back now (its counter bumps here).
-        let plaintext = synth_block(&mut self.rng);
-        let (wb_at_rest, _) = self.memenc.encrypt_block(wb.as_u64(), &plaintext);
-        let _ = self.counter_ready_op(at, wb.as_u64(), obfusmem_cache::cache::CacheOp::Write);
-
-        // Functional path.
-        let (channel, pair, decoded, companion, req_delay) = match self.link {
-            Some(_) => {
-                let (ch, out) = self.deliver_linked(
-                    at,
-                    home,
-                    Delivery::Substituted {
-                        read: read_header,
-                        write: write_header,
-                        data: &wb_at_rest,
-                    },
-                );
-                (ch, out.pair, out.decoded, out.companion, out.delay)
-            }
-            None => {
-                let pair = self
-                    .proc
-                    .obfuscate_substituted(at, home, read_header, write_header, &wb_at_rest)
-                    .expect("valid channel");
-                let (decoded, companion) = self.mem_engines[home]
-                    .receive_pair(&pair.real, &pair.dummy)
-                    .expect("engines synchronized");
-                (home, pair, decoded, companion, Duration::ZERO)
-            }
-        };
-        self.stats.pad_stall_ps += pair.pad_stall_ps;
-        self.stats.substituted_pairs += 1;
-        self.stats.real_writes += 1; // the parked write is serviced here
-        let proc_lat = self.proc_side_latency(pair.pad_stall_ps);
-        let mem_lat = self.mem_side_latency();
-
-        debug_assert_eq!(decoded.header, read_header);
-        let companion = companion.expect("substituted write must surface");
-        debug_assert_eq!(companion.header, write_header);
-        let wb_data = companion.data.expect("write carries data");
-        self.store_block(wb, wb_data);
-        let (at_rest, dev_delay) = self.load_block(addr);
-        let reply = self.mem_engines[channel].encrypt_reply(decoded.base_counter, &at_rest);
-        let reply_wire = reply.wire_bytes() as u64;
-        let (bus_data, reply_delay) = match self.link.as_mut() {
-            Some(link) => link
-                .deliver_reply(
-                    at,
-                    channel,
-                    &self.proc,
-                    &self.mem_engines[channel],
-                    decoded.base_counter,
-                    &at_rest,
-                )
-                .expect("valid channel"),
-            None => {
-                let data = self
-                    .proc
-                    .decrypt_reply(
-                        channel,
-                        pair.base_counter,
-                        &reply.data_ct.expect("reply has data"),
-                    )
-                    .expect("valid channel");
-                (data, Duration::ZERO)
-            }
-        };
-        debug_assert_eq!(bus_data, at_rest);
-
-        let send_at = self.align_to_slot(at + proc_lat);
-        if self.tracing() {
-            let read_truth = GroundTruth {
-                real: true,
-                kind: AccessKind::Read,
-                addr: addr.as_u64(),
-            };
-            self.record(BusEvent {
-                at: send_at,
-                channel,
-                direction: Direction::ToMemory,
-                packet: pair.real.clone(),
-                truth: read_truth,
-            });
-            self.record(BusEvent {
-                at: send_at,
-                channel,
-                direction: Direction::ToMemory,
-                packet: pair.dummy.clone(),
-                truth: GroundTruth {
-                    real: true,
-                    kind: AccessKind::Write,
-                    addr: wb.as_u64(),
-                },
-            });
-            self.record(BusEvent {
-                at: send_at,
-                channel,
-                direction: Direction::ToProcessor,
-                packet: reply,
-                truth: read_truth,
-            });
+/// A delivery's bus shape (§3.3): its request packets in read-then-write
+/// order, plus the response-lane bytes a write's reply occupies (the
+/// dummy read's 72 B random-data reply, or the uniform scheme's
+/// mandatory 88 B shape-matching reply; reads reply with their data).
+fn wire_shape(delivery: Delivery<'_>) -> (&'static [Slot], u64) {
+    match delivery {
+        Delivery::Uniform { .. } => (&[Slot::Real], 88),
+        Delivery::Pair { header, .. } if header.kind == AccessKind::Write => {
+            (&[Slot::Companion, Slot::Real], 72)
         }
-
-        // Timing: read packet first (read-then-write), the substituted
-        // write's bytes follow and its array write issues on arrival.
-        let read_arrived = self.mem.bus_transfer_bytes(
-            send_at,
-            channel,
-            pair.real.wire_bytes() as u64,
-            Lane::Request,
-        );
-        let write_arrived = self.mem.bus_transfer_bytes(
-            read_arrived,
-            channel,
-            pair.dummy.wire_bytes() as u64,
-            Lane::Request,
-        );
-        let request_at = read_arrived + mem_lat;
-        let array = self.mem.access(request_at, addr.as_u64(), AccessKind::Read);
-        let wb_array = self.post_array_write(write_arrived + mem_lat, wb.as_u64());
-        self.inject_channels(request_at, channel);
-        let reply_overhead = reply_wire.saturating_sub(64);
-        let reply_done = if reply_overhead > 0 {
-            self.mem
-                .bus_transfer_bytes(array.complete_at, channel, reply_overhead, Lane::Response)
-        } else {
-            array.complete_at
-        };
-        let counter_done = self.counter_ready(at, addr.as_u64());
-        if self.obs.is_enabled() {
-            self.obs.span(Track::Engine, "encrypt", at, at + proc_lat);
-            if pair.pad_stall_ps > 0 {
-                let stall = Duration::from_ps(pair.pad_stall_ps);
-                self.obs.span(Track::Crypto, "pad-stall", at, at + stall);
-            }
-            self.obs.span(
-                Track::Channel(channel),
-                "request-wire",
-                send_at,
-                write_arrived,
-            );
-            let bank = self.bank_track(addr.as_u64());
-            self.obs
-                .span(bank, "array-read", request_at, array.complete_at);
-            if let Some(wb_array) = wb_array {
-                let wb_bank = self.bank_track(wb.as_u64());
-                self.obs.span(
-                    wb_bank,
-                    "array-write",
-                    write_arrived + mem_lat,
-                    wb_array.complete_at,
-                );
-            }
-            if reply_done > array.complete_at {
-                self.obs.span(
-                    Track::Channel(channel),
-                    "reply-wire",
-                    array.complete_at,
-                    reply_done,
-                );
-            }
-            if counter_done > at + COUNTER_CACHE_HIT {
-                self.obs
-                    .span(Track::Crypto, "counter-fetch", at, counter_done);
-            }
-            let recovery = req_delay + reply_delay;
-            if recovery.as_ps() > 0 {
-                let fill_done =
-                    reply_done.max(counter_done) + self.cfg.latencies.xor + self.mem_side_latency();
-                self.obs.span(
-                    Track::Link(channel),
-                    "recovery",
-                    fill_done,
-                    fill_done + recovery,
-                );
-            }
-            if dev_delay.as_ps() > 0 {
-                let bank = self.bank_track(addr.as_u64());
-                self.obs
-                    .span(bank, "recovery", request_at, request_at + dev_delay);
-            }
-        }
-        reply_done.max(counter_done)
-            + self.cfg.latencies.xor
-            + self.mem_side_latency()
-            + req_delay
-            + reply_delay
-            + dev_delay
-    }
-
-    /// A read under the uniform-packet alternative: one 88-byte packet
-    /// out (random filler attached), one data reply back.
-    fn uniform_read(&mut self, at: Time, addr: BlockAddr) -> Time {
-        let home = self.mem.decode(addr.as_u64()).channel;
-        let header = RequestHeader {
-            kind: AccessKind::Read,
-            addr: addr.as_u64(),
-        };
-        let (channel, pair, decoded, req_delay) = match self.link {
-            Some(_) => {
-                let (ch, out) =
-                    self.deliver_linked(at, home, Delivery::Uniform { header, data: None });
-                (ch, out.pair, out.decoded, out.delay)
-            }
-            None => {
-                let pair = self
-                    .proc
-                    .obfuscate_uniform(at, home, header, None)
-                    .expect("valid channel");
-                let decoded = self.mem_engines[home]
-                    .receive_uniform(&pair.real)
-                    .expect("engines synchronized");
-                (home, pair, decoded, Duration::ZERO)
-            }
-        };
-        self.stats.pad_stall_ps += pair.pad_stall_ps;
-        let proc_lat = self.proc_side_latency(pair.pad_stall_ps);
-        let mem_lat = self.mem_side_latency();
-
-        debug_assert_eq!(decoded.header, header);
-        let (at_rest, dev_delay) = self.load_block(addr);
-        let reply = self.mem_engines[channel].encrypt_reply(decoded.base_counter, &at_rest);
-        let reply_wire = reply.wire_bytes() as u64;
-        let (bus_data, reply_delay) = match self.link.as_mut() {
-            Some(link) => link
-                .deliver_reply(
-                    at,
-                    channel,
-                    &self.proc,
-                    &self.mem_engines[channel],
-                    decoded.base_counter,
-                    &at_rest,
-                )
-                .expect("valid channel"),
-            None => {
-                let data = self
-                    .proc
-                    .decrypt_reply(
-                        channel,
-                        pair.base_counter,
-                        &reply.data_ct.expect("reply has data"),
-                    )
-                    .expect("valid channel");
-                (data, Duration::ZERO)
-            }
-        };
-        debug_assert_eq!(bus_data, at_rest);
-
-        let send_at = self.align_to_slot(at + proc_lat);
-        if self.tracing() {
-            let truth = GroundTruth {
-                real: true,
-                kind: AccessKind::Read,
-                addr: addr.as_u64(),
-            };
-            self.record(BusEvent {
-                at: send_at,
-                channel,
-                direction: Direction::ToMemory,
-                packet: pair.real.clone(),
-                truth,
-            });
-            self.record(BusEvent {
-                at: send_at,
-                channel,
-                direction: Direction::ToProcessor,
-                packet: reply,
-                truth,
-            });
-        }
-
-        let arrived = self.mem.bus_transfer_bytes(
-            send_at,
-            channel,
-            pair.real.wire_bytes() as u64,
-            Lane::Request,
-        );
-        let request_at = arrived + mem_lat;
-        let array = self.mem.access(request_at, addr.as_u64(), AccessKind::Read);
-        self.inject_channels(request_at, channel);
-        let reply_overhead = reply_wire.saturating_sub(64);
-        let reply_done = if reply_overhead > 0 {
-            self.mem
-                .bus_transfer_bytes(array.complete_at, channel, reply_overhead, Lane::Response)
-        } else {
-            array.complete_at
-        };
-        let counter_done = self.counter_ready(at, addr.as_u64());
-        if self.obs.is_enabled() {
-            self.obs.span(Track::Engine, "encrypt", at, at + proc_lat);
-            self.obs
-                .span(Track::Channel(channel), "request-wire", send_at, arrived);
-            let bank = self.bank_track(addr.as_u64());
-            self.obs
-                .span(bank, "array-read", request_at, array.complete_at);
-            if reply_done > array.complete_at {
-                self.obs.span(
-                    Track::Channel(channel),
-                    "reply-wire",
-                    array.complete_at,
-                    reply_done,
-                );
-            }
-            if counter_done > at + COUNTER_CACHE_HIT {
-                self.obs
-                    .span(Track::Crypto, "counter-fetch", at, counter_done);
-            }
-            let recovery = req_delay + reply_delay;
-            if recovery.as_ps() > 0 {
-                let fill_done =
-                    reply_done.max(counter_done) + self.cfg.latencies.xor + self.mem_side_latency();
-                self.obs.span(
-                    Track::Link(channel),
-                    "recovery",
-                    fill_done,
-                    fill_done + recovery,
-                );
-            }
-            if dev_delay.as_ps() > 0 {
-                let bank = self.bank_track(addr.as_u64());
-                self.obs
-                    .span(bank, "recovery", request_at, request_at + dev_delay);
-            }
-        }
-        reply_done.max(counter_done)
-            + self.cfg.latencies.xor
-            + self.mem_side_latency()
-            + req_delay
-            + reply_delay
-            + dev_delay
-    }
-
-    /// A write under the uniform-packet alternative: the mandatory data
-    /// reply (discarded at the processor) is the scheme's inescapable
-    /// bandwidth tax.
-    fn uniform_write(&mut self, at: Time, addr: BlockAddr) {
-        let home = self.mem.decode(addr.as_u64()).channel;
-        let plaintext = synth_block(&mut self.rng);
-        let (at_rest, _) = self.memenc.encrypt_block(addr.as_u64(), &plaintext);
-        let _ = self.counter_ready_op(at, addr.as_u64(), obfusmem_cache::cache::CacheOp::Write);
-        let header = RequestHeader {
-            kind: AccessKind::Write,
-            addr: addr.as_u64(),
-        };
-        let (channel, pair, decoded, req_delay) = match self.link {
-            Some(_) => {
-                let (ch, out) = self.deliver_linked(
-                    at,
-                    home,
-                    Delivery::Uniform {
-                        header,
-                        data: Some(&at_rest),
-                    },
-                );
-                (ch, out.pair, out.decoded, out.delay)
-            }
-            None => {
-                let pair = self
-                    .proc
-                    .obfuscate_uniform(at, home, header, Some(&at_rest))
-                    .expect("valid channel");
-                let decoded = self.mem_engines[home]
-                    .receive_uniform(&pair.real)
-                    .expect("engines synchronized");
-                (home, pair, decoded, Duration::ZERO)
-            }
-        };
-        self.stats.pad_stall_ps += pair.pad_stall_ps;
-        let proc_lat = self.proc_side_latency(pair.pad_stall_ps);
-        let mem_lat = self.mem_side_latency();
-
-        debug_assert_eq!(decoded.data, Some(at_rest));
-        self.store_block(addr, at_rest);
-
-        let send_at = self.align_to_slot(at + proc_lat) + req_delay;
-        if self.tracing() {
-            self.record(BusEvent {
-                at: send_at,
-                channel,
-                direction: Direction::ToMemory,
-                packet: pair.real.clone(),
-                truth: GroundTruth {
-                    real: true,
-                    kind: AccessKind::Write,
-                    addr: addr.as_u64(),
-                },
-            });
-        }
-
-        let arrived = self.mem.bus_transfer_bytes(
-            send_at,
-            channel,
-            pair.real.wire_bytes() as u64,
-            Lane::Request,
-        );
-        let request_at = arrived + mem_lat;
-        let array = self.post_array_write(request_at, addr.as_u64());
-        self.inject_channels(request_at, channel);
-        // Mandatory shape-matching reply for the write.
-        self.mem
-            .bus_transfer_bytes(request_at, channel, 88, Lane::Response);
-        if self.obs.is_enabled() {
-            self.obs.span(Track::Engine, "encrypt", at, at + proc_lat);
-            if req_delay.as_ps() > 0 {
-                let aligned = self.align_to_slot(at + proc_lat);
-                self.obs
-                    .span(Track::Link(channel), "recovery", aligned, send_at);
-            }
-            self.obs
-                .span(Track::Channel(channel), "request-wire", send_at, arrived);
-            if let Some(array) = array {
-                let bank = self.bank_track(addr.as_u64());
-                self.obs
-                    .span(bank, "array-write", request_at, array.complete_at);
-            }
+        Delivery::Pair { .. } | Delivery::Substituted { .. } => {
+            (&[Slot::Real, Slot::Companion], 72)
         }
     }
+}
+
+/// What a read's service hands back to the pipeline.
+struct Reply {
+    /// The reply packet as it crosses the bus.
+    packet: BusPacket,
+    /// Link recovery time spent on the reply.
+    link_delay: Duration,
+    /// Device recovery time spent loading the block.
+    dev_delay: Duration,
 }
 
 fn synth_block(rng: &mut SplitMix64) -> BlockData {
@@ -1775,23 +1318,9 @@ impl MemoryBackend for ObfusMemBackend {
                 }
                 array.complete_at.max(counter_done) + self.cfg.latencies.xor + dev_delay
             }
-            SecurityLevel::Obfuscate | SecurityLevel::ObfuscateAuth => match self.cfg.type_hiding {
-                TypeHiding::UniformPackets => self.uniform_read(at, addr),
-                TypeHiding::SplitDummyWithSubstitution => {
-                    let channel = self.mem.decode(addr.as_u64()).channel;
-                    if let Some(pos) = self
-                        .pending_writes
-                        .iter()
-                        .position(|wb| self.mem.decode(wb.as_u64()).channel == channel)
-                    {
-                        let wb = self.pending_writes.remove(pos).expect("position valid");
-                        self.substituted_read(at, addr, wb)
-                    } else {
-                        self.obfuscated_read(at, addr)
-                    }
-                }
-                TypeHiding::SplitDummy => self.obfuscated_read(at, addr),
-            },
+            SecurityLevel::Obfuscate | SecurityLevel::ObfuscateAuth => {
+                self.obfuscated(at, AccessKind::Read, addr)
+            }
         }
     }
 
@@ -1816,8 +1345,7 @@ impl MemoryBackend for ObfusMemBackend {
                 }
             }
             SecurityLevel::EncryptOnly => {
-                let plaintext = synth_block(&mut self.rng);
-                let (at_rest, _) = self.memenc.encrypt_block(addr.as_u64(), &plaintext);
+                let at_rest = self.prepare_write(at, addr);
                 self.record_plain(
                     at,
                     self.mem.decode(addr.as_u64()).channel,
@@ -1827,8 +1355,6 @@ impl MemoryBackend for ObfusMemBackend {
                     },
                     Some(at_rest),
                 );
-                let _ =
-                    self.counter_ready_op(at, addr.as_u64(), obfusmem_cache::cache::CacheOp::Write);
                 self.store_block(addr, at_rest);
                 let array = self.post_array_write(at, addr.as_u64());
                 if let Some(array) = array.filter(|_| self.obs.is_enabled()) {
@@ -1836,19 +1362,9 @@ impl MemoryBackend for ObfusMemBackend {
                     self.obs.span(bank, "array-write", at, array.complete_at);
                 }
             }
-            SecurityLevel::Obfuscate | SecurityLevel::ObfuscateAuth => match self.cfg.type_hiding {
-                TypeHiding::UniformPackets => self.uniform_write(at, addr),
-                TypeHiding::SplitDummyWithSubstitution => {
-                    // Park the write-back to ride with a future read on
-                    // its channel; overflow services the oldest normally.
-                    if self.pending_writes.len() >= 8 {
-                        let oldest = self.pending_writes.pop_front().expect("nonempty");
-                        self.obfuscated_write(at, oldest);
-                    }
-                    self.pending_writes.push_back(addr);
-                }
-                TypeHiding::SplitDummy => self.obfuscated_write(at, addr),
-            },
+            SecurityLevel::Obfuscate | SecurityLevel::ObfuscateAuth => {
+                self.obfuscated(at, AccessKind::Write, addr);
+            }
         }
     }
 
@@ -1864,6 +1380,7 @@ impl MemoryBackend for ObfusMemBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tap::CollectingTap;
     use obfusmem_testkit as proptest;
 
     fn backend(security: SecurityLevel) -> ObfusMemBackend {
@@ -1909,9 +1426,10 @@ mod tests {
     #[test]
     fn obfuscated_reads_record_real_dummy_and_reply() {
         let mut b = backend(SecurityLevel::ObfuscateAuth);
-        b.enable_trace();
+        let tap = CollectingTap::default();
+        b.set_bus_tap(tap.handle());
         b.read(Time::ZERO, BlockAddr::containing(0x40));
-        let trace = b.take_trace();
+        let trace = tap.take();
         assert_eq!(trace.len(), 3);
         assert!(trace[0].truth.real);
         assert!(!trace[1].truth.real);
@@ -2171,9 +1689,9 @@ mod tests {
         // Quarantining bank 1 must not treat the stale identity copy as
         // a victim: doing so would drop the live logical→spare mapping
         // and silently serve dead bytes.
-        b.quarantine_and_migrate(1)
+        let mut rc = b.recovery.take().expect("active plan");
+        b.quarantine_and_migrate(&mut rc, 1)
             .expect("not the last healthy bank");
-        let rc = b.recovery.as_mut().expect("active plan");
         assert_eq!(
             rc.remap_mut().translate(logical).expect("still mapped"),
             spare,
@@ -2189,9 +1707,8 @@ mod tests {
             [0u8; BLOCK_BYTES],
             "stale copy evacuated from the store"
         );
-        let stats = b.recovery.as_ref().expect("active plan").stats;
-        assert_eq!(stats.unrecovered, 0);
-        assert_eq!(stats.migrated, 0, "nothing live lived in bank 1");
+        assert_eq!(rc.stats.unrecovered, 0);
+        assert_eq!(rc.stats.migrated, 0, "nothing live lived in bank 1");
     }
 
     #[test]
@@ -2326,13 +1843,14 @@ mod tests {
             ..ObfusMemConfig::paper_default()
         };
         let mut b = ObfusMemBackend::new(cfg, MemConfig::table2(), 9);
-        b.enable_trace();
+        let tap = CollectingTap::default();
+        b.set_bus_tap(tap.handle());
         let mut t = Time::ZERO;
         for i in 0..10u64 {
             b.write(t, BlockAddr::containing(i * 64));
             t = b.read(t, BlockAddr::containing(i * 64));
         }
-        let trace = b.take_trace();
+        let trace = tap.take();
         let to_mem: Vec<_> = trace
             .iter()
             .filter(|e| e.direction == Direction::ToMemory)
@@ -2379,13 +1897,14 @@ mod tests {
             ..ObfusMemConfig::paper_default()
         };
         let mut b = ObfusMemBackend::new(cfg, MemConfig::table2(), 42);
-        b.enable_trace();
+        let tap = CollectingTap::default();
+        b.set_bus_tap(tap.handle());
         let mut t = Time::from_ps(1); // deliberately unaligned
         for i in 0..20u64 {
             t = b.read(t, BlockAddr::containing(i * 64));
         }
         let slot = crate::config::TIMING_SLOT.as_ps();
-        for event in b.take_trace() {
+        for event in tap.take() {
             if event.direction == Direction::ToMemory {
                 assert_eq!(
                     event.at.as_ps() % slot,
@@ -2463,6 +1982,57 @@ mod tests {
             )),
             "bank service spans must be present"
         );
+    }
+
+    #[test]
+    fn every_shape_spans_its_pad_stalls() {
+        use obfusmem_obs::trace::TraceEvent;
+        // Same-instant requests on one channel drain the 64-pad buffer
+        // (six pads per request), so the later ones stall on cold pads.
+        for type_hiding in [
+            TypeHiding::SplitDummy,
+            TypeHiding::SplitDummyWithSubstitution,
+            TypeHiding::UniformPackets,
+        ] {
+            for kind in [AccessKind::Read, AccessKind::Write] {
+                let cfg = ObfusMemConfig {
+                    type_hiding,
+                    ..ObfusMemConfig::paper_default()
+                };
+                let mut b = ObfusMemBackend::new(cfg, MemConfig::table2(), 42);
+                let obs = TraceHandle::recording();
+                b.set_trace_handle(obs.clone());
+                for i in 0..24u64 {
+                    let addr = BlockAddr::containing(i * 64);
+                    match kind {
+                        AccessKind::Read => {
+                            b.read(Time::ZERO, addr);
+                        }
+                        AccessKind::Write => b.write(Time::ZERO, addr),
+                    }
+                }
+                // Parked write-backs only reach the bus on overflow.
+                let stall = Duration::from_ps(b.stats().pad_stall_ps);
+                assert!(stall > Duration::ZERO, "{type_hiding:?} {kind:?}: no stall");
+                let spanned = obs
+                    .finish()
+                    .iter()
+                    .filter_map(|e| match e {
+                        TraceEvent::Span {
+                            name: "pad-stall",
+                            start,
+                            end,
+                            ..
+                        } => Some(end.since(*start)),
+                        _ => None,
+                    })
+                    .fold(Duration::ZERO, |a, d| a + d);
+                assert_eq!(
+                    spanned, stall,
+                    "{type_hiding:?} {kind:?}: pad-stall spans must cover every stall"
+                );
+            }
+        }
     }
 
     fn track_names(

@@ -439,11 +439,13 @@ impl RecoveryController {
         self.degraded.contains(&addr)
     }
 
-    /// Marks logical `addr` permanently degraded. Returns true when
-    /// newly marked — callers bump `unrecovered` exactly once per
-    /// block, not once per access.
+    /// Marks logical `addr` permanently degraded. A newly marked block
+    /// counts once in `unrecovered` (not once per access); returns true
+    /// when the mark is new.
     pub fn mark_degraded(&mut self, addr: u64) -> bool {
-        self.degraded.insert(addr)
+        let new = self.degraded.insert(addr);
+        self.stats.unrecovered += new as u64;
+        new
     }
 
     /// Emits the `recovery.*` metrics subtree.
@@ -640,6 +642,7 @@ mod tests {
         assert!(rc.mark_degraded(0x40), "first mark is new");
         assert!(!rc.mark_degraded(0x40), "only the first mark counts");
         assert!(rc.is_degraded(0x40));
+        assert_eq!(rc.stats.unrecovered, 1, "one block, one unrecovered");
     }
 
     #[test]

@@ -1,12 +1,11 @@
 //! Streaming bus-event tap.
 //!
-//! [`crate::backend::ObfusMemBackend::enable_trace`] buffers every
-//! [`BusEvent`] into a `Vec` for post-hoc analysis; that is fine for the
-//! one-shot estimators in `obfusmem-sec::leakage` but too heavy to run on
-//! every sweep point. A [`BusTap`] instead *streams* events to an observer
-//! as they are recorded, so an attacker model (the leakage observatory)
+//! The backend hands every [`BusEvent`] it records to one [`BusTap`] as
+//! the event is emitted, so an attacker model (the leakage observatory)
 //! can fold each packet into running statistics without the backend ever
-//! materialising the full trace.
+//! materialising the full trace. Analyses that do want the whole trace
+//! at once (the one-shot estimators in `obfusmem-sec::leakage`) attach a
+//! [`CollectingTap`] and take its buffer after the run.
 //!
 //! The handle mirrors the `obfusmem-obs` no-op recorder contract: a
 //! disabled [`BusTapHandle`] is a `None` and every call short-circuits on
@@ -33,6 +32,33 @@ pub struct NullBusTap;
 
 impl BusTap for NullBusTap {
     fn on_event(&mut self, _event: &BusEvent) {}
+}
+
+/// A tap that keeps every event, in emission order. Clones share one
+/// buffer: attach [`CollectingTap::handle`] to a backend, run, then
+/// [`CollectingTap::take`] the trace.
+#[derive(Debug, Default, Clone)]
+pub struct CollectingTap {
+    events: Rc<RefCell<Vec<BusEvent>>>,
+}
+
+impl CollectingTap {
+    /// A handle that streams into this tap's buffer.
+    pub fn handle(&self) -> BusTapHandle {
+        BusTapHandle::attached(self.events.clone())
+    }
+
+    /// Takes the events collected so far, leaving the tap attached and
+    /// its buffer empty.
+    pub fn take(&self) -> Vec<BusEvent> {
+        std::mem::take(&mut *self.events.borrow_mut())
+    }
+}
+
+impl BusTap for Vec<BusEvent> {
+    fn on_event(&mut self, event: &BusEvent) {
+        self.push(event.clone());
+    }
 }
 
 /// Shared, optionally-absent tap. Cloning shares the underlying
@@ -122,6 +148,23 @@ mod tests {
         h.deliver(&event());
         h.deliver(&event());
         assert_eq!(tap.borrow().0, 2);
+    }
+
+    #[test]
+    fn collecting_tap_keeps_events_in_order_and_drains_on_take() {
+        let tap = CollectingTap::default();
+        let h = tap.handle();
+        let mut second = event();
+        second.truth.addr = 8;
+        h.deliver(&event());
+        h.deliver(&second);
+        let got = tap.take();
+        assert_eq!(got.len(), 2);
+        assert_eq!(got[0].truth.addr, 7);
+        assert_eq!(got[1].truth.addr, 8);
+        assert!(tap.take().is_empty(), "take drains the buffer");
+        h.deliver(&event());
+        assert_eq!(tap.take().len(), 1, "the tap stays attached");
     }
 
     #[test]

@@ -347,6 +347,7 @@ mod tests {
     use super::*;
     use obfusmem_core::backend::ObfusMemBackend;
     use obfusmem_core::config::{AddressCipherMode, ObfusMemConfig, SecurityLevel};
+    use obfusmem_core::tap::CollectingTap;
     use obfusmem_cpu::core::MemoryBackend;
     use obfusmem_mem::config::MemConfig;
     use obfusmem_mem::request::BlockAddr;
@@ -362,7 +363,8 @@ mod tests {
             ..ObfusMemConfig::paper_default()
         };
         let mut b = ObfusMemBackend::new(cfg, MemConfig::table2(), 11);
-        b.enable_trace();
+        let tap = CollectingTap::default();
+        b.set_bus_tap(tap.handle());
         let mut rng = SplitMix64::new(5);
         let mut t = Time::ZERO;
         for i in 0..400u64 {
@@ -377,7 +379,7 @@ mod tests {
                 b.write(t, BlockAddr::containing(addr));
             }
         }
-        b.take_trace()
+        tap.take()
     }
 
     #[test]
@@ -492,7 +494,8 @@ mod tests {
                 ..ObfusMemConfig::paper_default()
             };
             let mut b = ObfusMemBackend::new(cfg, MemConfig::table2().with_channels(4), 3);
-            b.enable_trace();
+            let tap = CollectingTap::default();
+            b.set_bus_tap(tap.handle());
             // Skewed pattern: mostly one 1 KB region → one channel hot.
             let mut rng = SplitMix64::new(9);
             for i in 0..300u64 {
@@ -503,7 +506,7 @@ mod tests {
                 };
                 b.read(Time::from_ps(i * 3_000), BlockAddr::containing(addr));
             }
-            let obs = capture(&b.take_trace());
+            let obs = capture(&tap.take());
             scores.push(channel_imbalance(&obs, 4));
         }
         assert!(
@@ -532,7 +535,8 @@ mod tests {
                 ..ObfusMemConfig::paper_default()
             };
             let mut b = ObfusMemBackend::new(cfg, MemConfig::table2(), 51);
-            b.enable_trace();
+            let tap = CollectingTap::default();
+            b.set_bus_tap(tap.handle());
             let mut rng = SplitMix64::new(52);
             let mut t = Time::ZERO;
             for i in 0..400u64 {
@@ -541,7 +545,7 @@ mod tests {
                 }
                 t = b.read(t, BlockAddr::from_index(rng.below(512)));
             }
-            let r = analyze(&b.take_trace());
+            let r = analyze(&tap.take());
             assert!(
                 r.type_advantage.abs() < 0.06,
                 "{scheme:?} must hide request types: advantage {}",
@@ -561,13 +565,14 @@ mod tests {
             };
             let mem = MemConfig::table2().with_channels(4).with_mapping(mapping);
             let mut b = ObfusMemBackend::new(cfg, mem, 44);
-            b.enable_trace();
+            let tap = CollectingTap::default();
+            b.set_bus_tap(tap.handle());
             let mut t = Time::ZERO;
             for i in 0..400u64 {
                 // Pure sequential stream: the §3.4 victim pattern.
                 t = b.read(t, BlockAddr::from_index(i));
             }
-            b.take_trace()
+            tap.take()
         };
         let fine = channel_step_predictability(&trace_with(AddressMapping::RoBaRaCoCh), 4);
         let coarse = channel_step_predictability(&trace_with(AddressMapping::RoRaBaChCo), 4);
@@ -590,7 +595,8 @@ mod tests {
                 ..ObfusMemConfig::paper_default()
             };
             let mut b = ObfusMemBackend::new(cfg, MemConfig::table2(), 31);
-            b.enable_trace();
+            let tap = CollectingTap::default();
+            b.set_bus_tap(tap.handle());
             let mut rng = SplitMix64::new(32);
             let mut t = Time::from_ps(1);
             for _ in 0..300 {
@@ -598,7 +604,7 @@ mod tests {
                 t += obfusmem_sim::time::Duration::from_ps(rng.below(200_000) + 1);
                 t = b.read(t, BlockAddr::from_index(rng.below(4096)));
             }
-            b.take_trace()
+            tap.take()
         };
         let free = timing_distinct_gap_ratio(&trace_with(TimingMode::AsReady));
         let slotted = timing_distinct_gap_ratio(&trace_with(TimingMode::FixedSlots));

@@ -8,6 +8,7 @@
 
 use obfusmem_core::backend::ObfusMemBackend;
 use obfusmem_core::config::ObfusMemConfig;
+use obfusmem_core::tap::CollectingTap;
 use obfusmem_cpu::core::MemoryBackend;
 use obfusmem_mem::config::MemConfig;
 use obfusmem_mem::request::BlockAddr;
@@ -67,7 +68,8 @@ pub struct SchemeColumn {
 pub fn measure_obfusmem() -> SchemeColumn {
     let cfg = ObfusMemConfig::paper_default();
     let mut b = ObfusMemBackend::new(cfg, MemConfig::table2(), 21);
-    b.enable_trace();
+    let tap = CollectingTap::default();
+    b.set_bus_tap(tap.handle());
     let mut rng = SplitMix64::new(13);
     let mut t = Time::ZERO;
     let mut writes = 0u64;
@@ -83,7 +85,7 @@ pub fn measure_obfusmem() -> SchemeColumn {
             writes += 1;
         }
     }
-    let trace = b.take_trace();
+    let trace = tap.take();
     let report = leakage::analyze(&trace);
 
     let auth = tamper::run_campaign(cfg, TamperKind::FlipHeaderBit, 10).detection_rate() == 1.0;

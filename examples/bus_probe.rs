@@ -13,6 +13,7 @@
 use obfusmem::core::backend::ObfusMemBackend;
 use obfusmem::core::busmsg::Direction;
 use obfusmem::core::config::{ObfusMemConfig, SecurityLevel};
+use obfusmem::core::tap::CollectingTap;
 use obfusmem::cpu::core::MemoryBackend;
 use obfusmem::mem::config::MemConfig;
 use obfusmem::mem::request::BlockAddr;
@@ -28,7 +29,8 @@ fn dump(label: &str, security: SecurityLevel) {
         ..ObfusMemConfig::paper_default()
     };
     let mut backend = ObfusMemBackend::new(cfg, MemConfig::table2(), 1234);
-    backend.enable_trace();
+    let tap = CollectingTap::default();
+    backend.set_bus_tap(tap.handle());
 
     let x = BlockAddr::containing(0x0004_2040);
     let mut t = Time::ZERO;
@@ -37,7 +39,7 @@ fn dump(label: &str, security: SecurityLevel) {
     backend.write(t, x);
 
     println!("== {label} ==");
-    for (i, event) in backend.take_trace().iter().enumerate() {
+    for (i, event) in tap.take().iter().enumerate() {
         if event.direction != Direction::ToMemory {
             continue;
         }

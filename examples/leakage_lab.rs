@@ -12,6 +12,7 @@
 
 use obfusmem::core::backend::ObfusMemBackend;
 use obfusmem::core::config::{AddressCipherMode, ObfusMemConfig, SecurityLevel};
+use obfusmem::core::tap::CollectingTap;
 use obfusmem::cpu::core::MemoryBackend;
 use obfusmem::mem::config::MemConfig;
 use obfusmem::mem::request::BlockAddr;
@@ -29,7 +30,8 @@ fn trace(
         ..ObfusMemConfig::paper_default()
     };
     let mut b = ObfusMemBackend::new(cfg, MemConfig::table2(), 77);
-    b.enable_trace();
+    let tap = CollectingTap::default();
+    b.set_bus_tap(tap.handle());
     let mut rng = SplitMix64::new(99);
     let mut t = Time::ZERO;
     let mut cursor = 5_000u64;
@@ -51,7 +53,7 @@ fn trace(
             b.write(t, BlockAddr::from_index(block));
         }
     }
-    b.take_trace()
+    tap.take()
 }
 
 fn main() {
@@ -108,14 +110,15 @@ fn main() {
             ..ObfusMemConfig::paper_default()
         };
         let mut b = ObfusMemBackend::new(cfg, MemConfig::table2(), 5);
-        b.enable_trace();
+        let tap = CollectingTap::default();
+        b.set_bus_tap(tap.handle());
         let mut rng = SplitMix64::new(6);
         let mut t = Time::from_ps(1);
         for _ in 0..300 {
             t += obfusmem::sim::time::Duration::from_ps(rng.below(150_000) + 1);
             t = b.read(t, BlockAddr::from_index(rng.below(4096)));
         }
-        leakage::timing_distinct_gap_ratio(&b.take_trace())
+        leakage::timing_distinct_gap_ratio(&tap.take())
     };
     use obfusmem::core::config::TimingMode;
     println!(

@@ -3,6 +3,7 @@
 
 use obfusmem::core::backend::ObfusMemBackend;
 use obfusmem::core::config::{AddressCipherMode, ObfusMemConfig, SecurityLevel};
+use obfusmem::core::tap::CollectingTap;
 use obfusmem::core::trust::{bootstrap_platform, BootstrapApproach};
 use obfusmem::cpu::core::MemoryBackend;
 use obfusmem::mem::config::MemConfig;
@@ -27,7 +28,8 @@ fn bootstrapped_keys_drive_a_working_protected_memory() {
         trust.channel_keys,
         9,
     );
-    backend.enable_trace();
+    let tap = CollectingTap::default();
+    backend.set_bus_tap(tap.handle());
     let mut t = Time::ZERO;
     for i in 0..50u64 {
         t = backend.read(t, BlockAddr::from_index(i));
@@ -35,7 +37,7 @@ fn bootstrapped_keys_drive_a_working_protected_memory() {
     }
     // Real crypto end to end: every packet decoded without desync (the
     // backend asserts round trips internally), trace fully populated.
-    let trace = backend.take_trace();
+    let trace = tap.take();
     assert!(trace.len() >= 200, "trace too small: {}", trace.len());
     let report = leakage::analyze(&trace);
     assert!(report.temporal_linkage < 0.01);
@@ -75,13 +77,14 @@ fn ecb_strawman_is_measurably_weaker_than_ctr() {
             ..ObfusMemConfig::paper_default()
         };
         let mut b = ObfusMemBackend::new(cfg, MemConfig::table2(), 5);
-        b.enable_trace();
+        let tap = CollectingTap::default();
+        b.set_bus_tap(tap.handle());
         let mut rng = SplitMix64::new(6);
         let mut t = Time::ZERO;
         for _ in 0..300 {
             t = b.read(t, BlockAddr::from_index(rng.below(10)));
         }
-        b.take_trace()
+        tap.take()
     };
     let ecb = leakage::analyze(&trace_for(AddressCipherMode::Ecb));
     let ctr = leakage::analyze(&trace_for(AddressCipherMode::Ctr));
@@ -98,7 +101,8 @@ fn footprint_grows_unbounded_for_the_observer_under_ctr() {
     // grow; the observer's header count keeps inflating.
     let cfg = ObfusMemConfig::paper_default();
     let mut b = ObfusMemBackend::new(cfg, MemConfig::table2(), 8);
-    b.enable_trace();
+    let tap = CollectingTap::default();
+    b.set_bus_tap(tap.handle());
     let mut t = Time::ZERO;
     let mut cumulative = Vec::new();
     let mut ratios = Vec::new();
@@ -108,7 +112,7 @@ fn footprint_grows_unbounded_for_the_observer_under_ctr() {
             t = b.read(t, BlockAddr::from_index(issued % 16));
             issued += 1;
         }
-        cumulative.extend(b.take_trace());
+        cumulative.extend(tap.take());
         ratios.push(leakage::footprint_ratio(&cumulative));
     }
     assert!(
@@ -126,12 +130,13 @@ fn multi_channel_traffic_is_balanced_with_injection() {
     use obfusmem::sec::observer::capture;
     let cfg = ObfusMemConfig::paper_default();
     let mut b = ObfusMemBackend::new(cfg, MemConfig::table2().with_channels(4), 11);
-    b.enable_trace();
+    let tap = CollectingTap::default();
+    b.set_bus_tap(tap.handle());
     // Deliberately skewed: all traffic to one 1 KB region (one channel).
     for i in 0..400u64 {
         b.read(Time::from_ps(i * 3000), BlockAddr::from_index(i % 16));
     }
-    let obs = capture(&b.take_trace());
+    let obs = capture(&tap.take());
     let imbalance = leakage::channel_imbalance(&obs, 4);
     assert!(imbalance < 1.0, "injection must mask the skew: {imbalance}");
 }
