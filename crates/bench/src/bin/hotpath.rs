@@ -8,8 +8,8 @@
 //! AES-NI) engine against the T-table and scalar oracles, batched CTR pad
 //! generation, and the calendar event queue against a `BinaryHeap`
 //! reference — plus an end-to-end Figure 4 sweep A/B/C (scalar-forced vs
-//! T-table-forced vs wide) and a no-op-recorder A/B (plain run vs
-//! disabled observability layer), and writes the numbers to
+//! T-table-forced vs wide) and an inert-bus-tap A/B (plain run vs a tap
+//! that discards every event), and writes the numbers to
 //! `BENCH_hotpath.json` (override with `--out`).
 //!
 //! The binary doubles as the CI divergence gate: it exits nonzero if the
@@ -28,20 +28,20 @@
 //! fail on a >10% drop, `--quick` runs (CI smoke on noisy shared VMs)
 //! only on a >50% drop.
 
+use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::rc::Rc;
 use std::time::{Duration, Instant};
 
 use obfusmem_bench::experiments::{fig4, fig4_average, Fig4Row};
 use obfusmem_bench::quick::measure_ns_budget;
+use obfusmem_core::tap::{BusTapHandle, NullBusTap};
 use obfusmem_crypto::aes::{set_force_scalar, set_force_ttable, Aes128, Block};
 use obfusmem_crypto::bitslice;
 use obfusmem_crypto::ctr::CtrStream;
 use obfusmem_harness::jsonl::JsonObject;
-use obfusmem_harness::measure::{
-    run_point, run_point_nulltap, run_point_observed, PointSpec, Scheme,
-};
-use obfusmem_obs::trace::TraceHandle;
+use obfusmem_harness::measure::{run_point, run_point_with, Attachments, PointSpec, Scheme};
 use obfusmem_sim::event::EventQueue;
 use obfusmem_sim::rng::SplitMix64;
 use obfusmem_sim::time::Time;
@@ -434,49 +434,40 @@ fn main() {
     }
     let avg = fig4_average(&rows_wide);
 
-    // --- observability off-switch: plain run vs disabled recorder ---
-    // The recorder trait's no-op default must make an untraced run free.
-    // Best-of-3 wall clocks on one fig4 point; the gate is bit-identity,
-    // the overhead number is tracked so a regression shows in the diff.
-    eprintln!("# hotpath: no-op recorder + leakage-tap A/B");
+    // --- leakage-tap A/B: plain run vs inert tap ---
+    // A tap that discards every event must stay bit-identical, and its
+    // wall-clock cost (building the bus events the observatory would
+    // read) is tracked and gated. Plain and tapped runs alternate so host
+    // clock drift hits both alike, and the rounds go on until each side
+    // has spent a fixed time budget: a quick-mode point lasts only a few
+    // milliseconds, too short for a fixed handful of rounds to pin a
+    // best-of time.
+    eprintln!("# hotpath: leakage-tap A/B");
     let point = PointSpec::paper(
         obfusmem_cpu::workload::by_name("bwaves").expect("Table 1 workload"),
         Scheme::ObfusmemAuth,
         opts.instructions,
         opts.seed,
     );
-    // The leakage-tap A/B rides in the same interleaved loop (plain,
-    // no-op recorder, inert tap back to back each round) so host clock
-    // drift hits all three alike. The tap contract matches the
-    // recorder's: a tap that discards every event must stay
-    // bit-identical, and its wall-clock cost (building the bus events
-    // the observatory would read) is tracked and gated.
-    let mut plain_ms = f64::INFINITY;
-    let mut plain = None;
-    let mut noop_ms = f64::INFINITY;
-    let mut noop = None;
-    let mut tap_ms = f64::INFINITY;
-    let mut tapped = None;
-    for _ in 0..3 {
-        let t0 = Instant::now();
-        let r = run_point(&point);
-        plain_ms = plain_ms.min(t0.elapsed().as_secs_f64() * 1e3);
-        plain = Some(r);
-        let t0 = Instant::now();
-        let (r, _) = run_point_observed(&point, &TraceHandle::disabled());
-        noop_ms = noop_ms.min(t0.elapsed().as_secs_f64() * 1e3);
-        noop = Some(r);
-        let t0 = Instant::now();
-        let r = run_point_nulltap(&point);
-        tap_ms = tap_ms.min(t0.elapsed().as_secs_f64() * 1e3);
-        tapped = Some(r);
+    let inert_tap = Attachments {
+        tap: BusTapHandle::attached(Rc::new(RefCell::new(NullBusTap))),
+        ..Attachments::default()
+    };
+    let ab_budget = if opts.quick {
+        Duration::from_millis(500)
+    } else {
+        Duration::from_secs(2)
+    };
+    let (mut plain_ms, mut plain_spent) = (f64::INFINITY, Duration::ZERO);
+    let (mut tap_ms, mut tap_spent) = (f64::INFINITY, Duration::ZERO);
+    let (mut plain, mut tapped) = (None, None);
+    while plain_spent < ab_budget || tap_spent < ab_budget {
+        plain = Some(timed(&mut plain_ms, &mut plain_spent, || run_point(&point)));
+        tapped = Some(timed(&mut tap_ms, &mut tap_spent, || {
+            run_point_with(&point, &inert_tap).0
+        }));
     }
-    let (plain, noop, tapped) = (plain.unwrap(), noop.unwrap(), tapped.unwrap());
-    if plain.exec_time != noop.exec_time || plain.misses != noop.misses {
-        eprintln!("FAIL: disabled recorder perturbed the simulation");
-        std::process::exit(1);
-    }
-    let noop_overhead_pct = 100.0 * (noop_ms - plain_ms) / plain_ms;
+    let (plain, tapped) = (plain.unwrap(), tapped.unwrap());
     if plain.exec_time != tapped.exec_time || plain.misses != tapped.misses {
         eprintln!("FAIL: inert bus tap perturbed the simulation");
         std::process::exit(1);
@@ -484,7 +475,7 @@ fn main() {
     let tap_overhead_pct = 100.0 * (tap_ms - plain_ms) / plain_ms;
 
     let json = JsonObject::new()
-        .string("schema", "obfusmem.bench_hotpath.v3")
+        .string("schema", "obfusmem.bench_hotpath.v4")
         .string("mode", if opts.quick { "quick" } else { "full" })
         .u64("instructions", opts.instructions)
         .u64("seed", opts.seed)
@@ -515,9 +506,6 @@ fn main() {
         .f64("fig4_speedup", round3(fig4_scalar_ms / fig4_wide_ms))
         .u64("fig4_rows_identical", 1)
         .f64("point_untraced_ms", round3(plain_ms))
-        .f64("point_noop_recorder_ms", round3(noop_ms))
-        .f64("noop_recorder_overhead_pct", round3(noop_overhead_pct))
-        .u64("noop_recorder_identical", 1)
         .f64("point_nulltap_ms", round3(tap_ms))
         .f64("leakage_tap_overhead_pct", round3(tap_overhead_pct))
         .u64("leakage_tap_identical", 1)
@@ -560,9 +548,6 @@ fn main() {
     println!(
         "fig4 sweep wall-clock        scalar {fig4_scalar_ms:8.1} ms   wide   {fig4_wide_ms:8.1} ms   {:.2}x",
         fig4_scalar_ms / fig4_wide_ms
-    );
-    println!(
-        "no-op recorder (bwaves)      plain  {plain_ms:8.1} ms   no-op  {noop_ms:8.1} ms   {noop_overhead_pct:+.1}%"
     );
     println!(
         "inert leakage tap (bwaves)   plain  {plain_ms:8.1} ms   tap    {tap_ms:8.1} ms   {tap_overhead_pct:+.1}%"
@@ -631,6 +616,17 @@ fn main() {
             max_drop * 100.0
         );
     }
+}
+
+/// Runs `run` once, folding its wall clock into one A/B side's best-of
+/// time (`best_ms`) and its spent budget.
+fn timed<R>(best_ms: &mut f64, spent: &mut Duration, run: impl FnOnce() -> R) -> R {
+    let t0 = Instant::now();
+    let result = run();
+    let elapsed = t0.elapsed();
+    *spent += elapsed;
+    *best_ms = best_ms.min(elapsed.as_secs_f64() * 1e3);
+    result
 }
 
 /// Three decimals is plenty for a tracked baseline and keeps diffs tame.

@@ -8,7 +8,7 @@ use obfusmem_core::system::{System, SystemConfig};
 use obfusmem_core::tap::CollectingTap;
 use obfusmem_cpu::core::MemoryBackend;
 use obfusmem_cpu::workload::{by_name, table1_workloads, WorkloadSpec};
-use obfusmem_harness::measure::{run_point, run_point_observed, PointSpec, Scheme};
+use obfusmem_harness::measure::{run_point, run_point_with, Attachments, PointSpec, Scheme};
 use obfusmem_mem::config::MemConfig;
 use obfusmem_mem::energy::EnergyModel;
 use obfusmem_obs::chrome::{chrome_trace_json, distinct_tracks};
@@ -298,7 +298,11 @@ pub fn trace_point(spec: WorkloadSpec, instructions: u64, seed: u64) -> TraceRep
     let point = PointSpec::paper(spec, Scheme::ObfusmemAuth, instructions, seed);
     let plain = run_point(&point);
     let obs = TraceHandle::recording();
-    let (traced, metrics) = run_point_observed(&point, &obs);
+    let with = Attachments {
+        trace: obs.clone(),
+        ..Attachments::default()
+    };
+    let (traced, metrics) = run_point_with(&point, &with);
     let events = obs.finish();
     let name = format!("{}/{}", point.workload.name, point.scheme.name());
     TraceReport {
@@ -933,20 +937,20 @@ pub struct LeakageRow {
 /// bits-leaked estimate. Expected ordering: plain ≫ encrypt-only >
 /// obfusmem ≈ obfusmem-auth ≈ oram ≈ 0.
 pub fn leakage_matrix(instructions: u64, seed: u64) -> Vec<LeakageRow> {
-    use obfusmem_harness::measure::{
-        leakage_summary_from_metrics, run_point_attacked, workload_by_name, LeakagePoint,
-    };
+    use obfusmem_harness::measure::{leakage_summary_from_metrics, workload_by_name, LeakagePoint};
     let spec = workload_by_name("micro").expect("built-in workload");
-    let leak = LeakagePoint {
-        window: 128,
-        squeeze: 1.0,
+    let with = Attachments {
+        leakage: Some(LeakagePoint {
+            window: 128,
+            squeeze: 1.0,
+        }),
+        ..Attachments::default()
     };
     Scheme::ALL
         .into_iter()
         .map(|scheme| {
             let point = PointSpec::paper(spec.clone(), scheme, instructions, seed);
-            let obs = TraceHandle::disabled();
-            let (_, metrics) = run_point_attacked(&point, &obs, leak);
+            let (_, metrics) = run_point_with(&point, &with);
             let s = leakage_summary_from_metrics(&metrics)
                 .expect("attacked runs always publish a leakage subtree");
             LeakageRow {

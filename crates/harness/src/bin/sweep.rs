@@ -26,10 +26,7 @@ use std::process::ExitCode;
 
 use obfusmem_harness::runner::{effective_threads, run_sweep, RunOptions};
 use obfusmem_harness::serve::{run_serve, verify_single, ServeSpec};
-use obfusmem_harness::spec::{
-    parse_backends, parse_device_fault_kinds, parse_fault_kinds, parse_oram_modes, parse_schemes,
-    parse_u64, parse_workloads, SweepSpec,
-};
+use obfusmem_harness::spec::{parse_u64, SweepSpec};
 use obfusmem_tenant::fabric::DhStrength;
 
 struct Cli {
@@ -360,6 +357,8 @@ fn parse_serve_args(args: impl Iterator<Item = String>) -> Result<ServeCli, Stri
 
 const USAGE: &str = "\
 usage: sweep [options]
+Each axis flag is its spec-file key with `_` written as `-`; `--backend`,
+`--oram-mode` and `-n` are kept as aliases.
   --spec FILE          read a `key = value` sweep spec file first
   --workloads LIST     comma list of workload names, or `all` (Table 1)
   --schemes LIST       comma list of unprotected|encrypt-only|obfusmem|
@@ -431,94 +430,6 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<Cli, String> {
                     .map_err(|e| format!("cannot read {path}: {e}"))?;
                 cli.spec = SweepSpec::parse(&text).map_err(|e| e.to_string())?;
             }
-            "--workloads" => {
-                cli.spec.workloads = parse_workloads(&next_value("--workloads", &mut args)?);
-            }
-            "--schemes" => {
-                cli.spec.schemes = parse_schemes(&next_value("--schemes", &mut args)?)
-                    .map_err(|e| e.to_string())?;
-            }
-            "--channels" => {
-                let v = next_value("--channels", &mut args)?;
-                cli.spec.channels = v
-                    .split(',')
-                    .map(str::trim)
-                    .filter(|s| !s.is_empty())
-                    .map(|s| s.parse().map_err(|_| format!("bad channel count {s:?}")))
-                    .collect::<Result<_, _>>()?;
-            }
-            "--backend" | "--backends" => {
-                cli.spec.backends = parse_backends(&next_value("--backend", &mut args)?)
-                    .map_err(|e| e.to_string())?;
-            }
-            "--oram-mode" | "--oram-modes" => {
-                cli.spec.oram_modes = parse_oram_modes(&next_value("--oram-mode", &mut args)?)
-                    .map_err(|e| e.to_string())?;
-            }
-            "--replicates" => {
-                let v = next_value("--replicates", &mut args)?;
-                cli.spec.replicates = v.parse().map_err(|_| format!("bad replicates {v:?}"))?;
-            }
-            "--master-seed" => {
-                let v = next_value("--master-seed", &mut args)?;
-                cli.spec.master_seed = parse_u64(&v).map_err(|e| e.to_string())?;
-            }
-            "--fault-kinds" => {
-                cli.spec.fault_kinds = parse_fault_kinds(&next_value("--fault-kinds", &mut args)?)
-                    .map_err(|e| e.to_string())?;
-            }
-            "--fault-rates" => {
-                let v = next_value("--fault-rates", &mut args)?;
-                cli.spec.fault_rates = v
-                    .split(',')
-                    .map(str::trim)
-                    .filter(|s| !s.is_empty())
-                    .map(|s| s.parse().map_err(|_| format!("bad fault rate {s:?}")))
-                    .collect::<Result<_, _>>()?;
-            }
-            "--fault-seed" => {
-                let v = next_value("--fault-seed", &mut args)?;
-                cli.spec.fault_seed = parse_u64(&v).map_err(|e| e.to_string())?;
-            }
-            "--device-fault-kinds" => {
-                cli.spec.device_fault_kinds =
-                    parse_device_fault_kinds(&next_value("--device-fault-kinds", &mut args)?)
-                        .map_err(|e| e.to_string())?;
-            }
-            "--device-fault-rates" => {
-                let v = next_value("--device-fault-rates", &mut args)?;
-                cli.spec.device_fault_rates = v
-                    .split(',')
-                    .map(str::trim)
-                    .filter(|s| !s.is_empty())
-                    .map(|s| {
-                        s.parse()
-                            .map_err(|_| format!("bad device fault rate {s:?}"))
-                    })
-                    .collect::<Result<_, _>>()?;
-            }
-            "--device-fault-seed" => {
-                let v = next_value("--device-fault-seed", &mut args)?;
-                cli.spec.device_fault_seed = parse_u64(&v).map_err(|e| e.to_string())?;
-            }
-            "--leakage-windows" => {
-                let v = next_value("--leakage-windows", &mut args)?;
-                cli.spec.leakage_windows = v
-                    .split(',')
-                    .map(str::trim)
-                    .filter(|s| !s.is_empty())
-                    .map(|s| s.parse().map_err(|_| format!("bad leakage window {s:?}")))
-                    .collect::<Result<_, _>>()?;
-            }
-            "--leakage-squeezes" => {
-                let v = next_value("--leakage-squeezes", &mut args)?;
-                cli.spec.leakage_squeezes = v
-                    .split(',')
-                    .map(str::trim)
-                    .filter(|s| !s.is_empty())
-                    .map(|s| s.parse().map_err(|_| format!("bad leakage squeeze {s:?}")))
-                    .collect::<Result<_, _>>()?;
-            }
             "--leak-ceiling" => {
                 let v = next_value("--leak-ceiling", &mut args)?;
                 cli.opts.leak_ceiling = v.parse().map_err(|_| format!("bad leak ceiling {v:?}"))?;
@@ -526,10 +437,6 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<Cli, String> {
             "--leak-floor" => {
                 let v = next_value("--leak-floor", &mut args)?;
                 cli.opts.leak_floor = v.parse().map_err(|_| format!("bad leak floor {v:?}"))?;
-            }
-            "-n" | "--instructions" => {
-                let v = next_value("--instructions", &mut args)?;
-                cli.spec.instructions = parse_u64(&v).map_err(|e| e.to_string())?;
             }
             "--out" => cli.out = PathBuf::from(next_value("--out", &mut args)?),
             "--metrics-out" => {
@@ -550,7 +457,21 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<Cli, String> {
                 println!("{USAGE}");
                 std::process::exit(0);
             }
-            other => return Err(format!("unknown argument {other:?}")),
+            flag => {
+                // Every axis flag is its spec key with `_` written as `-`.
+                let key = match flag {
+                    "-n" => "instructions".to_string(),
+                    "--backend" => "backends".to_string(),
+                    "--oram-mode" => "oram_modes".to_string(),
+                    _ if flag.contains('_') => String::new(),
+                    _ => flag.strip_prefix("--").unwrap_or("").replace('-', "_"),
+                };
+                if !SweepSpec::keys().any(|k| k == key) {
+                    return Err(format!("unknown argument {flag:?}"));
+                }
+                let value = next_value(flag, &mut args)?;
+                cli.spec.set(&key, &value).map_err(|e| e.to_string())?;
+            }
         }
     }
     Ok(cli)
@@ -609,5 +530,78 @@ mod tests {
         cli.spec.oram_modes.clear();
         let err = cli.spec.expand().unwrap_err();
         assert!(err.to_string().contains("no oram modes"), "got: {err}");
+    }
+
+    /// Every spec key with a valid value and, where the key has one at
+    /// parse time, a malformed value.
+    const AXES: [(&str, &str, Option<&str>); 16] = [
+        ("workloads", "micro, mcf", None),
+        ("schemes", "obfusmem, oram", Some("warp-drive")),
+        ("channels", "1, 4", Some("two")),
+        ("backends", "all", Some("fifo")),
+        ("oram_modes", "fixed, codesign", Some("palermo")),
+        ("replicates", "3", Some("-1")),
+        ("master_seed", "0xB0B", Some("0xZZ")),
+        ("instructions", "0x1_000", Some("lots")),
+        ("fault_kinds", "bit-flip, drop", Some("cosmic-ray")),
+        ("fault_rates", "0.001, 0.01", Some("often")),
+        ("fault_seed", "0xFA", Some("seed")),
+        ("device_fault_kinds", "all", Some("gamma-ray")),
+        ("device_fault_rates", "0.002", Some("rarely")),
+        ("device_fault_seed", "12_345", Some("x")),
+        ("leakage_windows", "128, 256", Some("soon")),
+        ("leakage_squeezes", "1.0, 4.0", Some("tight")),
+    ];
+
+    fn flag(key: &str) -> String {
+        format!("--{}", key.replace('_', "-"))
+    }
+
+    #[test]
+    fn every_axis_flag_matches_its_spec_file_line() {
+        let mut keys: Vec<_> = AXES.iter().map(|&(key, _, _)| key).collect();
+        let mut spec_keys: Vec<_> = SweepSpec::keys().collect();
+        keys.sort_unstable();
+        spec_keys.sort_unstable();
+        assert_eq!(keys, spec_keys, "the table must cover every spec key");
+        for (key, value, _) in AXES {
+            let from_flag = parse_args(argv(&[&flag(key), value])).unwrap().spec;
+            let from_file = SweepSpec::parse(&format!("{key} = {value}")).unwrap();
+            assert_eq!(from_flag, from_file, "{key}");
+            assert_ne!(
+                from_file,
+                SweepSpec::default(),
+                "{key} must change the spec"
+            );
+        }
+    }
+
+    #[test]
+    fn malformed_axis_values_fail_alike_on_both_surfaces() {
+        for (key, _, bad) in AXES {
+            let Some(bad) = bad else { continue };
+            let from_flag = parse_args(argv(&[&flag(key), bad]))
+                .err()
+                .unwrap_or_else(|| panic!("--{key} {bad} must be rejected"));
+            let from_file = SweepSpec::parse(&format!("{key} = {bad}")).unwrap_err();
+            assert_eq!(from_flag, from_file.to_string(), "{key}");
+        }
+    }
+
+    #[test]
+    fn aliases_and_axis_flag_spelling() {
+        for (alias, key, value) in [
+            ("--backend", "backends", "queued"),
+            ("--oram-mode", "oram_modes", "all"),
+            ("-n", "instructions", "50000"),
+        ] {
+            let via_alias = parse_args(argv(&[alias, value])).unwrap().spec;
+            let via_key = parse_args(argv(&[&flag(key), value])).unwrap().spec;
+            assert_eq!(via_alias, via_key, "{alias}");
+        }
+        let err = parse_args(argv(&["--master_seed", "1"])).err().unwrap();
+        assert!(err.contains("unknown argument"), "got: {err}");
+        let err = parse_args(argv(&["--bogus"])).err().unwrap();
+        assert!(err.contains("unknown argument"), "got: {err}");
     }
 }

@@ -19,8 +19,7 @@ use obfusmem_obs::trace::{TraceEvent, TraceHandle};
 use obfusmem_sim::rng::SplitMix64;
 
 use crate::measure::{
-    run_point_attacked, run_point_observed, workload_by_name, LeakagePoint, OramMode, PointSpec,
-    Scheme,
+    run_point_with, workload_by_name, Attachments, LeakagePoint, OramMode, PointSpec, Scheme,
 };
 
 /// One schedulable simulation job.
@@ -68,73 +67,14 @@ pub struct JobSpec {
 }
 
 impl JobSpec {
-    /// Builds the stable id for a fault-free grid point.
-    pub fn make_id(workload: &str, scheme: Scheme, channels: usize, replicate: u32) -> String {
-        format!("{workload}/{}/c{channels}/r{replicate}", scheme.name())
-    }
-
-    /// Builds the stable id for a fault-grid point. The fault segment
-    /// sits before the replicate so resume keys distinguish rates.
-    pub fn make_fault_id(
-        workload: &str,
-        scheme: Scheme,
-        channels: usize,
-        kind: FaultKind,
-        rate: f64,
-        replicate: u32,
-    ) -> String {
-        format!(
-            "{workload}/{}/c{channels}/{}@{rate}/r{replicate}",
-            scheme.name(),
-            kind.name()
-        )
-    }
-
-    /// Builds the stable id for any grid point. A non-default backend
-    /// contributes a segment right after the channel count; the default
-    /// reservation backend contributes nothing, so every pre-backend
-    /// sweep id (and hence every checkpoint file) remains valid.
-    pub fn make_full_id(
-        workload: &str,
-        scheme: Scheme,
-        channels: usize,
-        backend: BackendKind,
-        fault: Option<(FaultKind, f64)>,
-        replicate: u32,
-    ) -> String {
-        Self::make_chaos_id(workload, scheme, channels, backend, fault, None, replicate)
-    }
-
-    /// [`JobSpec::make_full_id`] plus the device-fault axis. A device
-    /// fault point contributes a `dram-{kind}@{rate}` segment after the
-    /// link-fault segment (the `dram-` prefix keeps the two axes' ids
-    /// disjoint — both have a `bit-flip`); `None` contributes nothing,
-    /// so every pre-device-fault sweep id stays valid.
-    pub fn make_chaos_id(
-        workload: &str,
-        scheme: Scheme,
-        channels: usize,
-        backend: BackendKind,
-        fault: Option<(FaultKind, f64)>,
-        device_fault: Option<(DeviceFaultKind, f64)>,
-        replicate: u32,
-    ) -> String {
-        Self::make_attack_id(
-            workload,
-            scheme,
-            channels,
-            backend,
-            fault,
-            device_fault,
-            None,
-            replicate,
-        )
-    }
-
-    /// [`JobSpec::make_attack_id`] plus the ORAM-mode axis. A non-default
-    /// mode contributes an `oram-{mode}` segment right after the channel
-    /// count; [`OramMode::Fixed`] contributes nothing, so every pre-mode
-    /// sweep id stays valid.
+    /// Builds the stable id for a grid point. Each axis at its default
+    /// contributes nothing, so ids (and checkpoint files) written before
+    /// an axis existed stay valid: `{workload}/{scheme}/c{channels}`,
+    /// then `oram-{mode}` for a non-fixed ORAM mode, the backend name for
+    /// a non-reservation backend, `{kind}@{rate}` for a link fault,
+    /// `dram-{kind}@{rate}` for a device fault (the prefix keeps the two
+    /// axes' `bit-flip` apart), `leak-w{window}[x{squeeze}]` for the
+    /// attacker, and `r{replicate}` last.
     #[allow(clippy::too_many_arguments)]
     pub fn make_mode_id(
         workload: &str,
@@ -147,60 +87,26 @@ impl JobSpec {
         leakage: Option<LeakagePoint>,
         replicate: u32,
     ) -> String {
-        let mode_seg = match oram_mode {
-            OramMode::Fixed => String::new(),
-            other => format!("/oram-{}", other.name()),
-        };
-        let backend_seg = match backend {
-            BackendKind::Reservation => String::new(),
-            other => format!("/{}", other.name()),
-        };
-        let fault_seg = match fault {
-            None => String::new(),
-            Some((kind, rate)) => format!("/{}@{rate}", kind.name()),
-        };
-        let device_seg = match device_fault {
-            None => String::new(),
-            Some((kind, rate)) => format!("/dram-{}@{rate}", kind.name()),
-        };
-        let leak_seg = match leakage {
-            None => String::new(),
-            Some(leak) if leak.squeeze == 1.0 => format!("/leak-w{}", leak.window),
-            Some(leak) => format!("/leak-w{}x{}", leak.window, leak.squeeze),
-        };
-        format!(
-            "{workload}/{}/c{channels}{mode_seg}{backend_seg}{fault_seg}{device_seg}{leak_seg}/r{replicate}",
-            scheme.name()
-        )
-    }
-
-    /// [`JobSpec::make_chaos_id`] plus the leakage axis. An
-    /// attacker-active point contributes a `leak-w{window}` segment
-    /// (with an `x{squeeze}` suffix when cache squeezing is on) just
-    /// before the replicate; `None` contributes nothing, so every
-    /// pre-observatory sweep id stays valid.
-    #[allow(clippy::too_many_arguments)]
-    pub fn make_attack_id(
-        workload: &str,
-        scheme: Scheme,
-        channels: usize,
-        backend: BackendKind,
-        fault: Option<(FaultKind, f64)>,
-        device_fault: Option<(DeviceFaultKind, f64)>,
-        leakage: Option<LeakagePoint>,
-        replicate: u32,
-    ) -> String {
-        Self::make_mode_id(
-            workload,
-            scheme,
-            OramMode::Fixed,
-            channels,
-            backend,
-            fault,
-            device_fault,
-            leakage,
-            replicate,
-        )
+        let mut id = format!("{workload}/{}/c{channels}", scheme.name());
+        if oram_mode != OramMode::Fixed {
+            id.push_str(&format!("/oram-{}", oram_mode.name()));
+        }
+        if backend != BackendKind::Reservation {
+            id.push_str(&format!("/{}", backend.name()));
+        }
+        if let Some((kind, rate)) = fault {
+            id.push_str(&format!("/{}@{rate}", kind.name()));
+        }
+        if let Some((kind, rate)) = device_fault {
+            id.push_str(&format!("/dram-{}@{rate}", kind.name()));
+        }
+        match leakage {
+            Some(leak) if leak.squeeze == 1.0 => id.push_str(&format!("/leak-w{}", leak.window)),
+            Some(leak) => id.push_str(&format!("/leak-w{}x{}", leak.window, leak.squeeze)),
+            None => {}
+        }
+        id.push_str(&format!("/r{replicate}"));
+        id
     }
 }
 
@@ -293,16 +199,72 @@ fn run_job_with(spec: &JobSpec, obs: &TraceHandle) -> JobOutput {
         point.obfus.device_faults = DeviceFaultPlan::single(kind, rate, spec.device_fault_seed);
     }
     let started = Instant::now();
-    let (result, metrics) = match spec.leakage {
-        Some(leak) => run_point_attacked(&point, obs, leak),
-        None => run_point_observed(&point, obs),
+    let with = Attachments {
+        trace: obs.clone(),
+        leakage: spec.leakage,
+        ..Attachments::default()
     };
+    let (result, metrics) = run_point_with(&point, &with);
     JobOutput {
         spec: spec.clone(),
         result,
         metrics,
         trace: obs.finish(),
         wall_ms: started.elapsed().as_secs_f64() * 1e3,
+    }
+}
+
+/// Test fixtures shared by the harness's unit tests.
+#[cfg(test)]
+impl JobSpec {
+    /// A replicate-0, one-channel reservation-backend job with every
+    /// optional axis off. Tests override axes with struct-update syntax
+    /// and then call [`JobSpec::derived`].
+    pub(crate) fn fixture(workload: &str, scheme: Scheme, instructions: u64) -> JobSpec {
+        JobSpec {
+            id: String::new(),
+            workload: workload.into(),
+            scheme,
+            channels: 1,
+            backend: BackendKind::Reservation,
+            instructions,
+            replicate: 0,
+            seed: 0,
+            fault: None,
+            fault_seed: 0,
+            device_fault: None,
+            device_fault_seed: 0,
+            leakage: None,
+            oram_mode: OramMode::Fixed,
+        }
+        .derived()
+    }
+
+    /// Re-derives the id and every seed from the axis fields, with the
+    /// master seeds of [`crate::spec::SweepSpec::default`].
+    pub(crate) fn derived(mut self) -> JobSpec {
+        let defaults = crate::spec::SweepSpec::default();
+        self.id = JobSpec::make_mode_id(
+            &self.workload,
+            self.scheme,
+            self.oram_mode,
+            self.channels,
+            self.backend,
+            self.fault,
+            self.device_fault,
+            self.leakage,
+            self.replicate,
+        );
+        self.seed = derive_seed(defaults.master_seed, &self.id);
+        self.fault_seed = match self.fault {
+            Some(_) => derive_seed(defaults.fault_seed, &self.id),
+            None => 0,
+        };
+        self.device_fault_seed = match self.device_fault {
+            Some(_) => derive_seed(defaults.device_fault_seed, &self.id),
+            None => 0,
+        };
+        self
     }
 }
 
@@ -324,22 +286,7 @@ mod tests {
 
     #[test]
     fn job_reruns_identically() {
-        let spec = JobSpec {
-            id: JobSpec::make_id("micro", Scheme::Obfusmem, 1, 0),
-            workload: "micro".into(),
-            scheme: Scheme::Obfusmem,
-            channels: 1,
-            backend: BackendKind::Reservation,
-            instructions: 20_000,
-            replicate: 0,
-            seed: derive_seed(7, "micro/obfusmem/c1/r0"),
-            fault: None,
-            fault_seed: 0,
-            device_fault: None,
-            device_fault_seed: 0,
-            leakage: None,
-            oram_mode: OramMode::Fixed,
-        };
+        let spec = JobSpec::fixture("micro", Scheme::Obfusmem, 20_000);
         let a = run_job(&spec);
         let b = run_job(&spec);
         assert_eq!(a.result.exec_time, b.result.exec_time);
@@ -349,31 +296,13 @@ mod tests {
 
     #[test]
     fn fault_jobs_report_recovery_counters() {
-        let id = JobSpec::make_fault_id(
-            "micro",
-            Scheme::ObfusmemAuth,
-            1,
-            FaultKind::BitFlip,
-            0.01,
-            0,
-        );
-        assert_eq!(id, "micro/obfusmem-auth/c1/bit-flip@0.01/r0");
-        let out = run_job(&JobSpec {
-            id: id.clone(),
-            workload: "micro".into(),
-            scheme: Scheme::ObfusmemAuth,
-            channels: 1,
-            backend: BackendKind::Reservation,
-            instructions: 20_000,
-            replicate: 0,
-            seed: derive_seed(7, &id),
+        let spec = JobSpec {
             fault: Some((FaultKind::BitFlip, 0.01)),
-            fault_seed: derive_seed(0xFA_017, &id),
-            device_fault: None,
-            device_fault_seed: 0,
-            leakage: None,
-            oram_mode: OramMode::Fixed,
-        });
+            ..JobSpec::fixture("micro", Scheme::ObfusmemAuth, 20_000)
+        }
+        .derived();
+        assert_eq!(spec.id, "micro/obfusmem-auth/c1/bit-flip@0.01/r0");
+        let out = run_job(&spec);
         let rec = out.recovery().expect("faulty job must harvest link stats");
         assert!(
             rec.counter("faults_injected").unwrap_or(0) > 0,
@@ -389,32 +318,12 @@ mod tests {
 
     #[test]
     fn device_fault_jobs_report_recovery_counters_and_stay_deterministic() {
-        let id = JobSpec::make_chaos_id(
-            "micro",
-            Scheme::ObfusmemAuth,
-            1,
-            BackendKind::Reservation,
-            None,
-            Some((DeviceFaultKind::BitFlip, 0.02)),
-            0,
-        );
-        assert_eq!(id, "micro/obfusmem-auth/c1/dram-bit-flip@0.02/r0");
         let spec = JobSpec {
-            id: id.clone(),
-            workload: "micro".into(),
-            scheme: Scheme::ObfusmemAuth,
-            channels: 1,
-            backend: BackendKind::Reservation,
-            instructions: 20_000,
-            replicate: 0,
-            seed: derive_seed(7, &id),
-            fault: None,
-            fault_seed: 0,
             device_fault: Some((DeviceFaultKind::BitFlip, 0.02)),
-            device_fault_seed: derive_seed(0xD_F0_17, &id),
-            leakage: None,
-            oram_mode: OramMode::Fixed,
-        };
+            ..JobSpec::fixture("micro", Scheme::ObfusmemAuth, 20_000)
+        }
+        .derived();
+        assert_eq!(spec.id, "micro/obfusmem-auth/c1/dram-bit-flip@0.02/r0");
         let out = run_job(&spec);
         let rec = out
             .device_recovery()
@@ -432,46 +341,14 @@ mod tests {
 
     #[test]
     fn fault_free_jobs_carry_no_recovery_block() {
-        let id = JobSpec::make_id("micro", Scheme::ObfusmemAuth, 1, 0);
-        let out = run_job(&JobSpec {
-            id: id.clone(),
-            workload: "micro".into(),
-            scheme: Scheme::ObfusmemAuth,
-            channels: 1,
-            backend: BackendKind::Reservation,
-            instructions: 5_000,
-            replicate: 0,
-            seed: derive_seed(7, &id),
-            fault: None,
-            fault_seed: 0,
-            device_fault: None,
-            device_fault_seed: 0,
-            leakage: None,
-            oram_mode: OramMode::Fixed,
-        });
+        let out = run_job(&JobSpec::fixture("micro", Scheme::ObfusmemAuth, 5_000));
         assert!(out.recovery().is_none(), "link must stay disengaged");
         assert!(out.trace.is_empty(), "untraced jobs record no spans");
     }
 
     #[test]
     fn traced_jobs_match_untraced_results_and_carry_spans() {
-        let id = JobSpec::make_id("micro", Scheme::ObfusmemAuth, 1, 0);
-        let spec = JobSpec {
-            id: id.clone(),
-            workload: "micro".into(),
-            scheme: Scheme::ObfusmemAuth,
-            channels: 1,
-            backend: BackendKind::Reservation,
-            instructions: 10_000,
-            replicate: 0,
-            seed: derive_seed(7, &id),
-            fault: None,
-            fault_seed: 0,
-            device_fault: None,
-            device_fault_seed: 0,
-            leakage: None,
-            oram_mode: OramMode::Fixed,
-        };
+        let spec = JobSpec::fixture("micro", Scheme::ObfusmemAuth, 10_000);
         let plain = run_job(&spec);
         let traced = run_job_traced(&spec);
         assert_eq!(plain.result.exec_time, traced.result.exec_time);
@@ -487,77 +364,85 @@ mod tests {
 
     #[test]
     fn full_ids_collapse_to_the_legacy_forms_on_default_axes() {
-        assert_eq!(
-            JobSpec::make_full_id(
+        let id = |scheme, channels, backend, fault, replicate| {
+            JobSpec::make_mode_id(
                 "mcf",
-                Scheme::Obfusmem,
-                4,
-                BackendKind::Reservation,
+                scheme,
+                OramMode::Fixed,
+                channels,
+                backend,
+                fault,
                 None,
-                2
-            ),
-            JobSpec::make_id("mcf", Scheme::Obfusmem, 4, 2),
+                None,
+                replicate,
+            )
+        };
+        let reservation = BackendKind::Reservation;
+        assert_eq!(
+            id(Scheme::Obfusmem, 4, reservation, None, 2),
+            "mcf/obfusmem/c4/r2"
         );
         assert_eq!(
-            JobSpec::make_full_id(
-                "mcf",
+            id(
                 Scheme::ObfusmemAuth,
                 1,
-                BackendKind::Reservation,
+                reservation,
                 Some((FaultKind::Drop, 0.01)),
-                0,
+                0
             ),
-            JobSpec::make_fault_id("mcf", Scheme::ObfusmemAuth, 1, FaultKind::Drop, 0.01, 0),
+            "mcf/obfusmem-auth/c1/drop@0.01/r0",
         );
         assert_eq!(
-            JobSpec::make_full_id("mcf", Scheme::Obfusmem, 2, BackendKind::Queued, None, 1),
+            id(Scheme::Obfusmem, 2, BackendKind::Queued, None, 1),
             "mcf/obfusmem/c2/queued/r1",
         );
     }
 
     #[test]
     fn mode_ids_collapse_to_legacy_forms_on_the_default_mode() {
-        assert_eq!(
+        let id = |workload, mode, channels, replicate| {
             JobSpec::make_mode_id(
-                "mcf",
+                workload,
                 Scheme::OramModel,
-                OramMode::Fixed,
-                1,
+                mode,
+                channels,
                 BackendKind::Reservation,
                 None,
                 None,
                 None,
-                0,
-            ),
-            JobSpec::make_id("mcf", Scheme::OramModel, 1, 0),
-        );
+                replicate,
+            )
+        };
+        assert_eq!(id("mcf", OramMode::Fixed, 1, 0), "mcf/oram/c1/r0");
         assert_eq!(
-            JobSpec::make_mode_id(
-                "mcf",
-                Scheme::OramModel,
-                OramMode::Codesign,
-                2,
-                BackendKind::Reservation,
-                None,
-                None,
-                None,
-                1,
-            ),
+            id("mcf", OramMode::Codesign, 2, 1),
             "mcf/oram/c2/oram-codesign/r1",
         );
         assert_eq!(
-            JobSpec::make_mode_id(
-                "micro",
-                Scheme::OramModel,
-                OramMode::Serial,
-                1,
-                BackendKind::Reservation,
-                None,
-                None,
-                None,
-                0,
-            ),
+            id("micro", OramMode::Serial, 1, 0),
             "micro/oram/c1/oram-serial/r0",
+        );
+    }
+
+    #[test]
+    fn every_axis_segment_lands_in_canonical_order() {
+        let id = JobSpec::make_mode_id(
+            "micro",
+            Scheme::ObfusmemAuth,
+            OramMode::Codesign,
+            2,
+            BackendKind::Queued,
+            Some((FaultKind::BitFlip, 0.001)),
+            Some((DeviceFaultKind::StuckCell, 0.002)),
+            Some(LeakagePoint {
+                window: 128,
+                squeeze: 4.0,
+            }),
+            3,
+        );
+        assert_eq!(
+            id,
+            "micro/obfusmem-auth/c2/oram-codesign/queued/bit-flip@0.001/dram-stuck-cell@0.002/leak-w128x4/r3"
         );
     }
 
@@ -566,34 +451,12 @@ mod tests {
     /// serial mode is measurably slower on the same stream.
     #[test]
     fn oram_mode_jobs_rerun_identically_and_codesign_beats_serial() {
-        let mk = |mode: OramMode| {
-            let id = JobSpec::make_mode_id(
-                "micro",
-                Scheme::OramModel,
-                mode,
-                1,
-                BackendKind::Reservation,
-                None,
-                None,
-                None,
-                0,
-            );
+        let mk = |oram_mode| {
             JobSpec {
-                id: id.clone(),
-                workload: "micro".into(),
-                scheme: Scheme::OramModel,
-                channels: 1,
-                backend: BackendKind::Reservation,
-                instructions: 20_000,
-                replicate: 0,
-                seed: derive_seed(7, &id),
-                fault: None,
-                fault_seed: 0,
-                device_fault: None,
-                device_fault_seed: 0,
-                leakage: None,
-                oram_mode: mode,
+                oram_mode,
+                ..JobSpec::fixture("micro", Scheme::OramModel, 20_000)
             }
+            .derived()
         };
         let codesign = mk(OramMode::Codesign);
         let a = run_job(&codesign);
@@ -610,30 +473,12 @@ mod tests {
 
     #[test]
     fn queued_jobs_rerun_identically_and_snapshot_the_scheduler() {
-        let id = JobSpec::make_full_id(
-            "micro",
-            Scheme::ObfusmemAuth,
-            2,
-            BackendKind::Queued,
-            None,
-            0,
-        );
         let spec = JobSpec {
-            id: id.clone(),
-            workload: "micro".into(),
-            scheme: Scheme::ObfusmemAuth,
             channels: 2,
             backend: BackendKind::Queued,
-            instructions: 20_000,
-            replicate: 0,
-            seed: derive_seed(7, &id),
-            fault: None,
-            fault_seed: 0,
-            device_fault: None,
-            device_fault_seed: 0,
-            leakage: None,
-            oram_mode: OramMode::Fixed,
-        };
+            ..JobSpec::fixture("micro", Scheme::ObfusmemAuth, 20_000)
+        }
+        .derived();
         let a = run_job(&spec);
         let b = run_job(&spec);
         assert_eq!(a.result.exec_time, b.result.exec_time);
@@ -644,47 +489,20 @@ mod tests {
 
     #[test]
     fn reservation_jobs_carry_no_scheduler_subtree() {
-        let id = JobSpec::make_id("micro", Scheme::ObfusmemAuth, 1, 0);
-        let out = run_job(&JobSpec {
-            id: id.clone(),
-            workload: "micro".into(),
-            scheme: Scheme::ObfusmemAuth,
-            channels: 1,
-            backend: BackendKind::Reservation,
-            instructions: 5_000,
-            replicate: 0,
-            seed: derive_seed(7, &id),
-            fault: None,
-            fault_seed: 0,
-            device_fault: None,
-            device_fault_seed: 0,
-            leakage: None,
-            oram_mode: OramMode::Fixed,
-        });
+        let out = run_job(&JobSpec::fixture("micro", Scheme::ObfusmemAuth, 5_000));
         assert!(out.queued_sched().is_none());
     }
 
     #[test]
     fn replicates_differ_via_seed_only() {
-        let mk = |r: u32| {
-            let id = JobSpec::make_id("micro", Scheme::Unprotected, 1, r);
-            let seed = derive_seed(3, &id);
-            run_job(&JobSpec {
-                id,
-                workload: "micro".into(),
-                scheme: Scheme::Unprotected,
-                channels: 1,
-                backend: BackendKind::Reservation,
-                instructions: 20_000,
-                replicate: r,
-                seed,
-                fault: None,
-                fault_seed: 0,
-                device_fault: None,
-                device_fault_seed: 0,
-                leakage: None,
-                oram_mode: OramMode::Fixed,
-            })
+        let mk = |replicate| {
+            run_job(
+                &JobSpec {
+                    replicate,
+                    ..JobSpec::fixture("micro", Scheme::Unprotected, 20_000)
+                }
+                .derived(),
+            )
         };
         let r0 = mk(0);
         let r1 = mk(1);

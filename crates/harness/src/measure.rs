@@ -6,6 +6,9 @@
 //! number produced by a batch sweep is bit-identical to the same number
 //! produced by the interactive `tables` binary.
 
+use std::cell::RefCell;
+use std::rc::Rc;
+
 use obfusmem_core::config::{ObfusMemConfig, SecurityLevel};
 use obfusmem_core::system::{System, SystemConfig};
 use obfusmem_core::tap::BusTapHandle;
@@ -163,134 +166,103 @@ pub fn workload_by_name(name: &str) -> Option<WorkloadSpec> {
     by_name(name)
 }
 
+/// What rides along with a point run besides its spec. The default is a
+/// bare run: no span recorder, no bus tap, no attacker.
+#[derive(Clone, Default)]
+pub struct Attachments {
+    /// Span sink for the core and the backend (disabled by default).
+    pub trace: TraceHandle,
+    /// Bus tap for the `System`-backed schemes; the ORAM model has no
+    /// bus to tap. The attacker's observatory takes this slot when
+    /// `leakage` is set.
+    pub tap: BusTapHandle,
+    /// The Membuster attacker: bus events stream into a
+    /// [`LeakageObservatory`] (via the bus tap for `System` schemes, via
+    /// a functional Path ORAM replay for the ORAM model) and the run
+    /// summary lands in the metrics under `leakage.*`. Cache squeezing
+    /// scales the workload's miss rate before the run, so the timing
+    /// result is *not* comparable to a bare point unless
+    /// `squeeze == 1.0`.
+    pub leakage: Option<LeakagePoint>,
+}
+
 /// Runs one simulation point. Pure: identical specs produce identical
 /// results regardless of thread, process, or ordering.
 pub fn run_point(p: &PointSpec) -> RunResult {
-    match p.scheme.security() {
-        Some(security) => build_system(p, security).run(&p.workload, p.instructions, p.seed),
-        None => {
-            let core = TraceDrivenCore::new();
-            match p.oram_mode {
-                OramMode::Fixed => {
-                    let mut model = OramModel::paper();
-                    core.run(&p.workload, p.instructions, &mut model, p.seed)
-                }
-                OramMode::Serial => {
-                    let mut oram = DetailedOram::new(
-                        detailed_oram_geometry(),
-                        p.mem.clone(),
-                        oram_backend_seed(p),
-                    )
-                    .expect("static serial-mode geometry is valid")
-                    .with_posmap_chain();
-                    core.run(&p.workload, p.instructions, &mut oram, p.seed)
-                }
-                OramMode::Codesign => {
-                    let mut oram = CodesignOram::new(
-                        detailed_oram_geometry(),
-                        p.mem.clone(),
-                        oram_backend_seed(p),
-                    )
-                    .expect("static codesign-mode geometry is valid");
-                    core.run(&p.workload, p.instructions, &mut oram, p.seed)
-                }
-            }
-        }
-    }
+    run_point_with(p, &Attachments::default()).0
 }
 
-/// [`run_point`] with an inert bus tap attached: every bus event is
-/// built and delivered to a [`NullBusTap`](obfusmem_core::tap::NullBusTap)
-/// that discards it. Results are bit-identical to [`run_point`]; the
-/// hotpath bench uses the wall-clock delta to price the streaming tap
-/// machinery the leakage observatory rides on. The ORAM model has no
-/// bus to tap, so that scheme just delegates to [`run_point`].
-pub fn run_point_nulltap(p: &PointSpec) -> RunResult {
-    match p.scheme.security() {
-        Some(security) => {
-            let mut system = build_system(p, security);
-            system
-                .backend_mut()
-                .set_bus_tap(BusTapHandle::attached(std::rc::Rc::new(
-                    std::cell::RefCell::new(obfusmem_core::tap::NullBusTap),
-                )));
-            system.run(&p.workload, p.instructions, p.seed)
-        }
-        None => run_point(p),
-    }
-}
-
-/// [`run_point`] with the unified observability layer attached: spans go
-/// to `obs` and the returned [`MetricsNode`] holds the whole stack's
-/// counters — `core.*`, `engine.*`, `crypto.*`, `mem.ch<N>.bank<M>.*`,
-/// and `link.ch<N>.*` (or `oram.*` for the ORAM model). Recording is
-/// passive, so the [`RunResult`] is bit-identical to [`run_point`]'s.
+/// Runs one simulation point with `with` attached and returns the result
+/// plus the whole stack's counters — `core.*`, `engine.*`, `crypto.*`,
+/// `mem.ch<N>.bank<M>.*` and `link.ch<N>.*` (or `oram.*` for the ORAM
+/// scheme), and `leakage.*` when attacked. Trace and tap are passive, so
+/// the [`RunResult`] is bit-identical to [`run_point`]'s; only a cache
+/// squeeze changes what is simulated.
 ///
 /// The `link` subtree exists exactly when the fault-injecting link was
 /// engaged; fault-grid sweeps read their recovery counters from it.
-pub fn run_point_observed(p: &PointSpec, obs: &TraceHandle) -> (RunResult, MetricsNode) {
+pub fn run_point_with(p: &PointSpec, with: &Attachments) -> (RunResult, MetricsNode) {
+    let obs = &with.trace;
+    let mut workload = p.workload.clone();
+    let attack_seed = p.seed ^ p.backend_seed.unwrap_or(0).rotate_left(17);
+    let observatory = with.leakage.map(|leak| {
+        if leak.squeeze != 1.0 {
+            workload.llc_mpki *= leak.squeeze;
+            workload.validate();
+        }
+        LeakageObservatory::shared(leak.attack_config(attack_seed), obs.clone())
+    });
     let mut metrics = MetricsNode::new();
     let result = match p.scheme.security() {
-        Some(security) => build_system(p, security).run_observed(
-            &p.workload,
-            p.instructions,
-            p.seed,
-            obs,
-            &mut metrics,
-        ),
+        Some(security) => {
+            let mut system = build_system(p, security);
+            let tap = match &observatory {
+                Some(observatory) => BusTapHandle::attached(observatory.clone()),
+                None => with.tap.clone(),
+            };
+            system.backend_mut().set_bus_tap(tap);
+            system.run_observed(&workload, p.instructions, p.seed, obs, &mut metrics)
+        }
         None => {
             let core = TraceDrivenCore::new();
+            let run = |backend: &mut dyn MemoryBackend, metrics: &mut MetricsNode| {
+                let (instructions, seed) = (p.instructions, p.seed);
+                match &observatory {
+                    Some(observatory) => {
+                        let mut tapped = OramReplayTap {
+                            inner: backend,
+                            oram: replay_oram(attack_seed)
+                                .expect("replay geometry is statically valid"),
+                            observatory: observatory.clone(),
+                        };
+                        core.run_observed(&workload, instructions, &mut tapped, seed, obs, metrics)
+                    }
+                    None => core.run_observed(&workload, instructions, backend, seed, obs, metrics),
+                }
+            };
+            let geometry = detailed_oram_geometry();
             match p.oram_mode {
                 OramMode::Fixed => {
                     let mut model = OramModel::paper();
                     model.set_trace_handle(obs.clone());
-                    let result = core.run_observed(
-                        &p.workload,
-                        p.instructions,
-                        &mut model,
-                        p.seed,
-                        obs,
-                        &mut metrics,
-                    );
+                    let result = run(&mut model, &mut metrics);
                     model.observe(metrics.child("oram"));
                     result
                 }
                 OramMode::Serial => {
-                    let mut oram = DetailedOram::new(
-                        detailed_oram_geometry(),
-                        p.mem.clone(),
-                        oram_backend_seed(p),
-                    )
-                    .expect("static serial-mode geometry is valid")
-                    .with_posmap_chain();
-                    let result = core.run_observed(
-                        &p.workload,
-                        p.instructions,
-                        &mut oram,
-                        p.seed,
-                        obs,
-                        &mut metrics,
-                    );
+                    let mut oram = DetailedOram::new(geometry, p.mem.clone(), oram_backend_seed(p))
+                        .expect("static serial-mode geometry is valid")
+                        .with_posmap_chain();
+                    let result = run(&mut oram, &mut metrics);
                     let node = metrics.child("oram");
                     oram.oram().observe(node);
                     node.set_gauge("mean_access_ns", oram.mean_access_ns());
                     result
                 }
                 OramMode::Codesign => {
-                    let mut oram = CodesignOram::new(
-                        detailed_oram_geometry(),
-                        p.mem.clone(),
-                        oram_backend_seed(p),
-                    )
-                    .expect("static codesign-mode geometry is valid");
-                    let result = core.run_observed(
-                        &p.workload,
-                        p.instructions,
-                        &mut oram,
-                        p.seed,
-                        obs,
-                        &mut metrics,
-                    );
+                    let mut oram = CodesignOram::new(geometry, p.mem.clone(), oram_backend_seed(p))
+                        .expect("static codesign-mode geometry is valid");
+                    let result = run(&mut oram, &mut metrics);
                     oram.drain_posted();
                     let node = metrics.child("oram");
                     oram.oram().observe(node);
@@ -300,7 +272,49 @@ pub fn run_point_observed(p: &PointSpec, obs: &TraceHandle) -> (RunResult, Metri
             }
         }
     };
+    if let Some(observatory) = observatory {
+        let summary = observatory.borrow_mut().finish();
+        summary.publish(metrics.child("leakage"));
+    }
     (result, metrics)
+}
+
+/// The ORAM lane's attacker: timing comes from the wrapped backend
+/// untouched; each access is also replayed through a functional
+/// [`PathOram`] whose touched leaf becomes the attacker's observable.
+struct OramReplayTap<'a> {
+    inner: &'a mut dyn MemoryBackend,
+    oram: PathOram,
+    observatory: Rc<RefCell<LeakageObservatory>>,
+}
+
+impl MemoryBackend for OramReplayTap<'_> {
+    fn read(&mut self, at: Time, addr: BlockAddr) -> Time {
+        self.tap_access(at, addr);
+        self.inner.read(at, addr)
+    }
+
+    fn write(&mut self, at: Time, addr: BlockAddr) {
+        self.tap_access(at, addr);
+        self.inner.write(at, addr)
+    }
+
+    fn label(&self) -> String {
+        self.inner.label()
+    }
+}
+
+impl OramReplayTap<'_> {
+    fn tap_access(&mut self, at: Time, addr: BlockAddr) {
+        let id = (addr.as_u64() / 64) % self.oram.config().blocks;
+        // A write also walks (and re-randomizes) a full path, so the
+        // leaf observable is identical for both kinds.
+        if let Ok((_, leaf)) = self.oram.read_traced(id) {
+            self.observatory
+                .borrow_mut()
+                .observe(&synthetic_oram_event(at, leaf, addr.as_u64()));
+        }
+    }
 }
 
 /// One attacker setting on the leakage axis: analysis window (real
@@ -348,103 +362,6 @@ fn replay_oram(seed: u64) -> Result<PathOram, obfusmem_oram::OramError> {
     )
 }
 
-/// The ORAM timing model with a leakage tap riding alongside: timing
-/// and metrics come from the fixed-latency [`OramModel`] exactly as in
-/// [`run_point_observed`]; each access is also replayed through a
-/// functional [`PathOram`] whose touched leaf becomes the attacker's
-/// observable.
-struct TappedOramModel {
-    model: OramModel,
-    oram: PathOram,
-    observatory: std::rc::Rc<std::cell::RefCell<LeakageObservatory>>,
-}
-
-impl MemoryBackend for TappedOramModel {
-    fn read(&mut self, at: Time, addr: BlockAddr) -> Time {
-        self.tap_access(at, addr);
-        self.model.read(at, addr)
-    }
-
-    fn write(&mut self, at: Time, addr: BlockAddr) {
-        self.tap_access(at, addr);
-        self.model.write(at, addr)
-    }
-
-    fn label(&self) -> String {
-        self.model.label()
-    }
-}
-
-impl TappedOramModel {
-    fn tap_access(&mut self, at: Time, addr: BlockAddr) {
-        let id = (addr.as_u64() / 64) % self.oram.config().blocks;
-        // A write also walks (and re-randomizes) a full path, so the
-        // leaf observable is identical for both kinds.
-        if let Ok((_, leaf)) = self.oram.read_traced(id) {
-            self.observatory
-                .borrow_mut()
-                .observe(&synthetic_oram_event(at, leaf, addr.as_u64()));
-        }
-    }
-}
-
-/// [`run_point_observed`] with the Membuster attacker attached: bus
-/// events stream into a [`LeakageObservatory`] (via the backend tap for
-/// `System` schemes, via a functional Path ORAM replay for the ORAM
-/// model) and the run summary lands in the returned metrics under
-/// `leakage.*`. Cache squeezing scales the workload's miss rate before
-/// the run, so the timing result is *not* comparable to an un-attacked
-/// point unless `squeeze == 1.0`.
-pub fn run_point_attacked(
-    p: &PointSpec,
-    obs: &TraceHandle,
-    leak: LeakagePoint,
-) -> (RunResult, MetricsNode) {
-    let mut workload = p.workload.clone();
-    if leak.squeeze != 1.0 {
-        workload.llc_mpki *= leak.squeeze;
-        workload.validate();
-    }
-    let attack_seed = p.seed ^ p.backend_seed.unwrap_or(0).rotate_left(17);
-    let cfg = leak.attack_config(attack_seed);
-    let mut metrics = MetricsNode::new();
-    let (result, summary) = match p.scheme.security() {
-        Some(security) => {
-            let mut system = build_system(p, security);
-            let observatory = LeakageObservatory::shared(cfg, obs.clone());
-            system
-                .backend_mut()
-                .set_bus_tap(BusTapHandle::attached(observatory.clone()));
-            let result = system.run_observed(&workload, p.instructions, p.seed, obs, &mut metrics);
-            let summary = observatory.borrow_mut().finish();
-            (result, summary)
-        }
-        None => {
-            let core = TraceDrivenCore::new();
-            let observatory = LeakageObservatory::shared(cfg, obs.clone());
-            let mut model = TappedOramModel {
-                model: OramModel::paper(),
-                oram: replay_oram(attack_seed).expect("replay geometry is statically valid"),
-                observatory: observatory.clone(),
-            };
-            model.model.set_trace_handle(obs.clone());
-            let result = core.run_observed(
-                &workload,
-                p.instructions,
-                &mut model,
-                p.seed,
-                obs,
-                &mut metrics,
-            );
-            model.model.observe(metrics.child("oram"));
-            let summary = observatory.borrow_mut().finish();
-            (result, summary)
-        }
-    };
-    summary.publish(metrics.child("leakage"));
-    (result, metrics)
-}
-
 /// Reads a published `leakage.*` subtree back into a summary (sweep
 /// gating and renderers consume JSONL/metrics, not live observatories).
 pub fn leakage_summary_from_metrics(metrics: &MetricsNode) -> Option<LeakageSummary> {
@@ -479,6 +396,22 @@ fn build_system(p: &PointSpec, security: SecurityLevel) -> System {
 mod tests {
     use super::*;
 
+    fn observed(p: &PointSpec, obs: &TraceHandle) -> (RunResult, MetricsNode) {
+        let with = Attachments {
+            trace: obs.clone(),
+            ..Attachments::default()
+        };
+        run_point_with(p, &with)
+    }
+
+    fn attacked(p: &PointSpec, leak: LeakagePoint) -> (RunResult, MetricsNode) {
+        let with = Attachments {
+            leakage: Some(leak),
+            ..Attachments::default()
+        };
+        run_point_with(p, &with)
+    }
+
     #[test]
     fn scheme_names_round_trip() {
         for scheme in Scheme::ALL {
@@ -509,11 +442,25 @@ mod tests {
         let p = PointSpec::paper(micro_test_workload(), Scheme::ObfusmemAuth, 20_000, 9);
         let plain = run_point(&p);
         let obs = TraceHandle::recording();
-        let (observed, metrics) = run_point_observed(&p, &obs);
+        let (observed, metrics) = observed(&p, &obs);
         assert_eq!(plain.exec_time, observed.exec_time);
         assert_eq!(metrics.counter("core.misses"), Some(plain.misses));
         assert!(metrics.get_child("link").is_none(), "fault-free: no link");
         assert!(!obs.finish().is_empty());
+    }
+
+    #[test]
+    fn inert_tap_is_passive() {
+        let p = PointSpec::paper(micro_test_workload(), Scheme::ObfusmemAuth, 20_000, 9);
+        let with = Attachments {
+            tap: BusTapHandle::attached(Rc::new(RefCell::new(obfusmem_core::tap::NullBusTap))),
+            ..Attachments::default()
+        };
+        let (plain, plain_metrics) = run_point_with(&p, &Attachments::default());
+        let (tapped, tapped_metrics) = run_point_with(&p, &with);
+        assert_eq!(plain.exec_time, tapped.exec_time);
+        assert_eq!(plain.misses, tapped.misses);
+        assert_eq!(plain_metrics.to_json(), tapped_metrics.to_json());
     }
 
     #[test]
@@ -544,7 +491,7 @@ mod tests {
         for mode in [OramMode::Serial, OramMode::Codesign] {
             let mut p = PointSpec::paper(micro_test_workload(), Scheme::OramModel, 20_000, 9);
             p.oram_mode = mode;
-            let (result, metrics) = run_point_observed(&p, &TraceHandle::disabled());
+            let (result, metrics) = observed(&p, &TraceHandle::disabled());
             assert!(metrics.counter("oram.accesses").unwrap_or(0) > 0);
             assert!(metrics.counter("oram.blocks_read").unwrap_or(0) > 0);
             assert!(metrics.gauge("oram.mean_access_ns").unwrap_or(0.0) > 0.0);
@@ -555,7 +502,7 @@ mod tests {
     #[test]
     fn oram_point_reports_oram_subtree() {
         let p = PointSpec::paper(micro_test_workload(), Scheme::OramModel, 20_000, 9);
-        let (result, metrics) = run_point_observed(&p, &TraceHandle::disabled());
+        let (result, metrics) = observed(&p, &TraceHandle::disabled());
         assert!(metrics.counter("oram.accesses").unwrap_or(0) > 0);
         assert!(metrics.counter("oram.blocks_read").unwrap_or(0) > 0);
         assert_eq!(metrics.counter("core.misses"), Some(result.misses));
@@ -569,7 +516,7 @@ mod tests {
         };
         let bits = |scheme| {
             let p = PointSpec::paper(micro_test_workload(), scheme, 60_000, 5);
-            let (_, metrics) = run_point_attacked(&p, &TraceHandle::disabled(), leak);
+            let (_, metrics) = attacked(&p, leak);
             leakage_summary_from_metrics(&metrics).expect("leakage subtree published")
         };
         let plain = bits(Scheme::Unprotected);
@@ -612,7 +559,7 @@ mod tests {
                 window: 128,
                 squeeze: 1.0,
             };
-            let (attacked, _) = run_point_attacked(&p, &TraceHandle::disabled(), leak);
+            let (attacked, _) = attacked(&p, leak);
             assert_eq!(plain.exec_time, attacked.exec_time, "{scheme}");
             assert_eq!(plain.misses, attacked.misses, "{scheme}");
         }
@@ -626,7 +573,7 @@ mod tests {
                 window: 128,
                 squeeze,
             };
-            let (_, metrics) = run_point_attacked(&p, &TraceHandle::disabled(), leak);
+            let (_, metrics) = attacked(&p, leak);
             leakage_summary_from_metrics(&metrics).expect("leakage subtree")
         };
         let base = mk(1.0);

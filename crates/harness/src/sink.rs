@@ -227,28 +227,11 @@ impl JsonlSink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::job::{derive_seed, run_job, JobSpec};
+    use crate::job::{run_job, JobSpec};
     use crate::measure::Scheme;
 
     fn sample_output() -> JobOutput {
-        let id = JobSpec::make_id("micro", Scheme::Unprotected, 1, 0);
-        let seed = derive_seed(1, &id);
-        run_job(&JobSpec {
-            id,
-            workload: "micro".into(),
-            scheme: Scheme::Unprotected,
-            channels: 1,
-            backend: BackendKind::Reservation,
-            instructions: 5_000,
-            replicate: 0,
-            seed,
-            fault: None,
-            fault_seed: 0,
-            device_fault: None,
-            device_fault_seed: 0,
-            leakage: None,
-            oram_mode: OramMode::Fixed,
-        })
+        run_job(&JobSpec::fixture("micro", Scheme::Unprotected, 5_000))
     }
 
     fn temp_path(name: &str) -> PathBuf {
@@ -260,23 +243,13 @@ mod tests {
     #[test]
     fn fault_rows_carry_recovery_fields_and_clean_rows_do_not() {
         use obfusmem_core::link::FaultKind;
-        let id = JobSpec::make_fault_id("micro", Scheme::ObfusmemAuth, 1, FaultKind::Drop, 0.01, 0);
-        let out = run_job(&JobSpec {
-            id: id.clone(),
-            workload: "micro".into(),
-            scheme: Scheme::ObfusmemAuth,
-            channels: 1,
-            backend: BackendKind::Reservation,
-            instructions: 10_000,
-            replicate: 0,
-            seed: derive_seed(1, &id),
-            fault: Some((FaultKind::Drop, 0.01)),
-            fault_seed: derive_seed(2, &id),
-            device_fault: None,
-            device_fault_seed: 0,
-            leakage: None,
-            oram_mode: OramMode::Fixed,
-        });
+        let out = run_job(
+            &JobSpec {
+                fault: Some((FaultKind::Drop, 0.01)),
+                ..JobSpec::fixture("micro", Scheme::ObfusmemAuth, 10_000)
+            }
+            .derived(),
+        );
         let row = encode_row(&out, false);
         assert!(row.contains(r#""fault_kind":"drop""#), "{row}");
         assert!(row.contains(r#""fault_rate":0.01"#), "{row}");
@@ -291,31 +264,13 @@ mod tests {
     #[test]
     fn device_fault_rows_carry_dev_recovery_fields_and_clean_rows_do_not() {
         use obfusmem_mem::fault::DeviceFaultKind;
-        let id = JobSpec::make_chaos_id(
-            "micro",
-            Scheme::ObfusmemAuth,
-            1,
-            BackendKind::Reservation,
-            None,
-            Some((DeviceFaultKind::BitFlip, 0.02)),
-            0,
+        let out = run_job(
+            &JobSpec {
+                device_fault: Some((DeviceFaultKind::BitFlip, 0.02)),
+                ..JobSpec::fixture("micro", Scheme::ObfusmemAuth, 10_000)
+            }
+            .derived(),
         );
-        let out = run_job(&JobSpec {
-            id: id.clone(),
-            workload: "micro".into(),
-            scheme: Scheme::ObfusmemAuth,
-            channels: 1,
-            backend: BackendKind::Reservation,
-            instructions: 10_000,
-            replicate: 0,
-            seed: derive_seed(1, &id),
-            fault: None,
-            fault_seed: 0,
-            device_fault: Some((DeviceFaultKind::BitFlip, 0.02)),
-            device_fault_seed: derive_seed(3, &id),
-            leakage: None,
-            oram_mode: OramMode::Fixed,
-        });
         let row = encode_row(&out, false);
         assert!(row.contains(r#""device_fault_kind":"bit-flip""#), "{row}");
         assert!(row.contains(r#""device_fault_rate":0.02"#), "{row}");
@@ -334,32 +289,13 @@ mod tests {
             window: 128,
             squeeze: 1.0,
         };
-        let id = JobSpec::make_attack_id(
-            "micro",
-            Scheme::Unprotected,
-            1,
-            BackendKind::Reservation,
-            None,
-            None,
-            Some(leak),
-            0,
+        let out = run_job(
+            &JobSpec {
+                leakage: Some(leak),
+                ..JobSpec::fixture("micro", Scheme::Unprotected, 20_000)
+            }
+            .derived(),
         );
-        let out = run_job(&JobSpec {
-            id: id.clone(),
-            workload: "micro".into(),
-            scheme: Scheme::Unprotected,
-            channels: 1,
-            backend: BackendKind::Reservation,
-            instructions: 20_000,
-            replicate: 0,
-            seed: derive_seed(1, &id),
-            fault: None,
-            fault_seed: 0,
-            device_fault: None,
-            device_fault_seed: 0,
-            leakage: Some(leak),
-            oram_mode: OramMode::Fixed,
-        });
         let row = encode_row(&out, false);
         assert!(row.contains(r#""leak_window":128"#), "{row}");
         assert!(row.contains(r#""leak_squeeze":1"#), "{row}");
@@ -373,30 +309,13 @@ mod tests {
 
     #[test]
     fn queued_rows_carry_scheduler_fields_and_reservation_rows_do_not() {
-        let id = JobSpec::make_full_id(
-            "micro",
-            Scheme::ObfusmemAuth,
-            1,
-            BackendKind::Queued,
-            None,
-            0,
+        let out = run_job(
+            &JobSpec {
+                backend: BackendKind::Queued,
+                ..JobSpec::fixture("micro", Scheme::ObfusmemAuth, 10_000)
+            }
+            .derived(),
         );
-        let out = run_job(&JobSpec {
-            id: id.clone(),
-            workload: "micro".into(),
-            scheme: Scheme::ObfusmemAuth,
-            channels: 1,
-            backend: BackendKind::Queued,
-            instructions: 10_000,
-            replicate: 0,
-            seed: derive_seed(1, &id),
-            fault: None,
-            fault_seed: 0,
-            device_fault: None,
-            device_fault_seed: 0,
-            leakage: None,
-            oram_mode: OramMode::Fixed,
-        });
         let row = encode_row(&out, false);
         assert!(row.contains(r#""backend":"queued""#), "{row}");
         assert!(row.contains(r#""sched_serviced":"#), "{row}");
@@ -411,34 +330,13 @@ mod tests {
 
     #[test]
     fn oram_mode_rows_carry_mode_fields_and_default_rows_do_not() {
-        let id = JobSpec::make_mode_id(
-            "micro",
-            Scheme::OramModel,
-            OramMode::Codesign,
-            1,
-            BackendKind::Reservation,
-            None,
-            None,
-            None,
-            0,
-        );
-        assert_eq!(id, "micro/oram/c1/oram-codesign/r0");
-        let out = run_job(&JobSpec {
-            id: id.clone(),
-            workload: "micro".into(),
-            scheme: Scheme::OramModel,
-            channels: 1,
-            backend: BackendKind::Reservation,
-            instructions: 10_000,
-            replicate: 0,
-            seed: derive_seed(1, &id),
-            fault: None,
-            fault_seed: 0,
-            device_fault: None,
-            device_fault_seed: 0,
-            leakage: None,
+        let spec = JobSpec {
             oram_mode: OramMode::Codesign,
-        });
+            ..JobSpec::fixture("micro", Scheme::OramModel, 10_000)
+        }
+        .derived();
+        assert_eq!(spec.id, "micro/oram/c1/oram-codesign/r0");
+        let out = run_job(&spec);
         let row = encode_row(&out, false);
         assert!(row.contains(r#""oram_mode":"codesign""#), "{row}");
         assert!(row.contains(r#""oram_mean_access_ns":"#), "{row}");

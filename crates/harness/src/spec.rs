@@ -20,10 +20,10 @@
 //! instructions = 2000000
 //! ```
 
-use obfusmem_core::link::FaultKind;
+use obfusmem_core::link::{FaultKind, ALL_FAULT_KINDS};
 use obfusmem_cpu::workload::table1_workloads;
 use obfusmem_mem::config::BackendKind;
-use obfusmem_mem::fault::DeviceFaultKind;
+use obfusmem_mem::fault::{DeviceFaultKind, ALL_DEVICE_FAULT_KINDS};
 
 use crate::job::{derive_seed, JobSpec};
 use crate::measure::{workload_by_name, LeakagePoint, OramMode, Scheme};
@@ -401,81 +401,94 @@ impl SweepSpec {
             let (key, value) = line
                 .split_once('=')
                 .ok_or_else(|| err(format!("line {}: expected `key = value`", lineno + 1)))?;
-            let (key, value) = (key.trim(), value.trim());
-            match key {
-                "workloads" => spec.workloads = parse_workloads(value),
-                "schemes" => spec.schemes = parse_schemes(value)?,
-                "channels" => {
-                    spec.channels = split_list(value)
-                        .map(|v| {
-                            v.parse::<usize>()
-                                .map_err(|_| err(format!("bad channel count {v:?}")))
-                        })
-                        .collect::<Result<_, _>>()?
-                }
-                "backends" => spec.backends = parse_backends(value)?,
-                "oram_modes" => spec.oram_modes = parse_oram_modes(value)?,
-                "replicates" => {
-                    spec.replicates = value
-                        .parse()
-                        .map_err(|_| err(format!("bad replicates {value:?}")))?
-                }
-                "master_seed" => spec.master_seed = parse_u64(value)?,
-                "fault_kinds" => spec.fault_kinds = parse_fault_kinds(value)?,
-                "fault_rates" => {
-                    spec.fault_rates = split_list(value)
-                        .map(|v| {
-                            v.parse::<f64>()
-                                .map_err(|_| err(format!("bad fault rate {v:?}")))
-                        })
-                        .collect::<Result<_, _>>()?
-                }
-                "fault_seed" => spec.fault_seed = parse_u64(value)?,
-                "device_fault_kinds" => spec.device_fault_kinds = parse_device_fault_kinds(value)?,
-                "device_fault_rates" => {
-                    spec.device_fault_rates = split_list(value)
-                        .map(|v| {
-                            v.parse::<f64>()
-                                .map_err(|_| err(format!("bad device fault rate {v:?}")))
-                        })
-                        .collect::<Result<_, _>>()?
-                }
-                "device_fault_seed" => spec.device_fault_seed = parse_u64(value)?,
-                "leakage_windows" => {
-                    spec.leakage_windows = split_list(value)
-                        .map(|v| {
-                            v.parse::<usize>()
-                                .map_err(|_| err(format!("bad leakage window {v:?}")))
-                        })
-                        .collect::<Result<_, _>>()?
-                }
-                "leakage_squeezes" => {
-                    spec.leakage_squeezes = split_list(value)
-                        .map(|v| {
-                            v.parse::<f64>()
-                                .map_err(|_| err(format!("bad leakage squeeze {v:?}")))
-                        })
-                        .collect::<Result<_, _>>()?
-                }
-                "instructions" => {
-                    spec.instructions = value
-                        .replace('_', "")
-                        .parse()
-                        .map_err(|_| err(format!("bad instructions {value:?}")))?
-                }
-                other => return Err(err(format!("unknown key {other:?}"))),
-            }
+            spec.set(key.trim(), value)?;
         }
         Ok(spec)
     }
+
+    /// Every settable spec key.
+    pub fn keys() -> impl Iterator<Item = &'static str> {
+        KEYS.iter().map(|&(key, _)| key)
+    }
+
+    /// Sets one key from its text value. This is the one parser for both
+    /// surfaces: a spec-file line `key = value` and the `sweep` flag
+    /// `--key value` (the key with `_` written as `-`) land here, so
+    /// they accept the same values and fail with the same error.
+    pub fn set(&mut self, key: &str, value: &str) -> Result<(), SpecError> {
+        match KEYS.iter().find(|&&(k, _)| k == key) {
+            Some((_, setter)) => setter(self, value.trim()),
+            None => Err(err(format!("unknown key {key:?}"))),
+        }
+    }
 }
+
+/// Sets one spec field from a trimmed text value.
+type Setter = fn(&mut SweepSpec, &str) -> Result<(), SpecError>;
+
+/// Every spec key and its setter.
+const KEYS: [(&str, Setter); 16] = [
+    ("workloads", |s, v| {
+        s.workloads = parse_workloads(v);
+        Ok(())
+    }),
+    ("schemes", |s, v| {
+        named_list(v, "scheme", &Scheme::ALL, Scheme::parse).map(|l| s.schemes = l)
+    }),
+    ("channels", |s, v| {
+        number_list(v, "channel count").map(|l| s.channels = l)
+    }),
+    ("backends", |s, v| {
+        named_list(v, "backend", &BackendKind::ALL, BackendKind::parse).map(|l| s.backends = l)
+    }),
+    ("oram_modes", |s, v| {
+        named_list(v, "oram mode", &OramMode::ALL, OramMode::parse).map(|l| s.oram_modes = l)
+    }),
+    ("replicates", |s, v| {
+        number(v, "replicates").map(|n| s.replicates = n)
+    }),
+    ("master_seed", |s, v| {
+        parse_u64(v).map(|n| s.master_seed = n)
+    }),
+    ("instructions", |s, v| {
+        parse_u64(v).map(|n| s.instructions = n)
+    }),
+    ("fault_kinds", |s, v| {
+        named_list(v, "fault kind", &ALL_FAULT_KINDS, FaultKind::parse).map(|l| s.fault_kinds = l)
+    }),
+    ("fault_rates", |s, v| {
+        number_list(v, "fault rate").map(|l| s.fault_rates = l)
+    }),
+    ("fault_seed", |s, v| parse_u64(v).map(|n| s.fault_seed = n)),
+    ("device_fault_kinds", |s, v| {
+        named_list(
+            v,
+            "device fault kind",
+            &ALL_DEVICE_FAULT_KINDS,
+            DeviceFaultKind::parse,
+        )
+        .map(|l| s.device_fault_kinds = l)
+    }),
+    ("device_fault_rates", |s, v| {
+        number_list(v, "device fault rate").map(|l| s.device_fault_rates = l)
+    }),
+    ("device_fault_seed", |s, v| {
+        parse_u64(v).map(|n| s.device_fault_seed = n)
+    }),
+    ("leakage_windows", |s, v| {
+        number_list(v, "leakage window").map(|l| s.leakage_windows = l)
+    }),
+    ("leakage_squeezes", |s, v| {
+        number_list(v, "leakage squeeze").map(|l| s.leakage_squeezes = l)
+    }),
+];
 
 fn split_list(value: &str) -> impl Iterator<Item = &str> {
     value.split(',').map(str::trim).filter(|v| !v.is_empty())
 }
 
 /// `all` → the Table 1 set; otherwise a comma list of names.
-pub fn parse_workloads(value: &str) -> Vec<String> {
+fn parse_workloads(value: &str) -> Vec<String> {
     if value == "all" {
         table1_workloads()
             .iter()
@@ -486,56 +499,30 @@ pub fn parse_workloads(value: &str) -> Vec<String> {
     }
 }
 
-/// Comma list of fault-kind names (`all` → every kind).
-pub fn parse_fault_kinds(value: &str) -> Result<Vec<FaultKind>, SpecError> {
+/// A comma list of names of `what`, or `all` for every value in `all`.
+fn named_list<T: Copy>(
+    value: &str,
+    what: &str,
+    all: &[T],
+    parse: fn(&str) -> Option<T>,
+) -> Result<Vec<T>, SpecError> {
     if value == "all" {
-        return Ok(obfusmem_core::link::ALL_FAULT_KINDS.to_vec());
+        return Ok(all.to_vec());
     }
     split_list(value)
-        .map(|v| FaultKind::parse(v).ok_or_else(|| err(format!("unknown fault kind {v:?}"))))
+        .map(|v| parse(v).ok_or_else(|| err(format!("unknown {what} {v:?}"))))
         .collect()
 }
 
-/// Comma list of device-fault-kind names (`all` → every kind).
-pub fn parse_device_fault_kinds(value: &str) -> Result<Vec<DeviceFaultKind>, SpecError> {
-    if value == "all" {
-        return Ok(obfusmem_mem::fault::ALL_DEVICE_FAULT_KINDS.to_vec());
-    }
-    split_list(value)
-        .map(|v| {
-            DeviceFaultKind::parse(v).ok_or_else(|| err(format!("unknown device fault kind {v:?}")))
-        })
-        .collect()
+/// A comma list of numbers of `what`.
+fn number_list<T: std::str::FromStr>(value: &str, what: &str) -> Result<Vec<T>, SpecError> {
+    split_list(value).map(|v| number(v, what)).collect()
 }
 
-/// Comma list of backend names (`all` → every controller model).
-pub fn parse_backends(value: &str) -> Result<Vec<BackendKind>, SpecError> {
-    if value == "all" {
-        return Ok(BackendKind::ALL.to_vec());
-    }
-    split_list(value)
-        .map(|v| BackendKind::parse(v).ok_or_else(|| err(format!("unknown backend {v:?}"))))
-        .collect()
-}
-
-/// Comma list of ORAM-mode names (`all` → every mode).
-pub fn parse_oram_modes(value: &str) -> Result<Vec<OramMode>, SpecError> {
-    if value == "all" {
-        return Ok(OramMode::ALL.to_vec());
-    }
-    split_list(value)
-        .map(|v| OramMode::parse(v).ok_or_else(|| err(format!("unknown oram mode {v:?}"))))
-        .collect()
-}
-
-/// Comma list of scheme names (`all` → every scheme).
-pub fn parse_schemes(value: &str) -> Result<Vec<Scheme>, SpecError> {
-    if value == "all" {
-        return Ok(Scheme::ALL.to_vec());
-    }
-    split_list(value)
-        .map(|v| Scheme::parse(v).ok_or_else(|| err(format!("unknown scheme {v:?}"))))
-        .collect()
+fn number<T: std::str::FromStr>(value: &str, what: &str) -> Result<T, SpecError> {
+    value
+        .parse()
+        .map_err(|_| err(format!("bad {what} {value:?}")))
 }
 
 /// Decimal or `0x`-prefixed hex.
@@ -652,8 +639,9 @@ mod tests {
     #[test]
     fn all_expands_to_table1() {
         assert_eq!(parse_workloads("all").len(), 15);
-        assert_eq!(parse_schemes("all").unwrap(), Scheme::ALL.to_vec());
-        assert_eq!(parse_fault_kinds("all").unwrap().len(), 6);
+        let spec = SweepSpec::parse("schemes = all\nfault_kinds = all").unwrap();
+        assert_eq!(spec.schemes, Scheme::ALL.to_vec());
+        assert_eq!(spec.fault_kinds.len(), 6);
     }
 
     #[test]
@@ -770,7 +758,8 @@ mod tests {
         );
         assert_eq!(spec.device_fault_rates, vec![0.002, 0.01]);
         assert_eq!(spec.device_fault_seed, 0xBEEF);
-        assert_eq!(parse_device_fault_kinds("all").unwrap().len(), 4);
+        let spec = SweepSpec::parse("device_fault_kinds = all").unwrap();
+        assert_eq!(spec.device_fault_kinds.len(), 4);
         assert!(SweepSpec::parse("device_fault_kinds = gamma-ray").is_err());
     }
 
